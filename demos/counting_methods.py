@@ -53,10 +53,14 @@ print(f"  z(500,120,80) has {len(str(big))} digits ({dt * 1000:.1f} ms)")
 print(f"  = {big}")
 print()
 
-print("Both recurrences accept a shared write-once memo cache; the split")
-print("recurrence swaps the roles of k and m mid-recursion, so sharing one")
-print("cache across methods reuses those entries:")
+print("Both recurrences run bottom-up over n on a grid of (max(k,m)+1)^2")
+print("cells, so their memory stays bounded whatever n is.  An optional")
+print("write-once MemoCache receives the final layer: the four z calls of one")
+print("ring count share a single pass, and a cache shared by both recurrences")
+print("raises if they ever disagree on a cell both of them wrote:")
 shared = MemoCache()
-a = z_recur_split(60, 10, 8, shared)
-b = z_recur_firstone(60, 10, 8, shared)
-print(f"  z(60,10,8) = {a} (split) = {b} (first-one), cache holds {len(shared)} entries")
+ring = s_circular(60, 10, 8, z=lambda n, k, m: z_recur_split(n, k, m, shared))
+print(f"  s(60,10,8) = {ring} (split, one layer), cache holds {len(shared)} entries")
+wide = z_recur_firstone(60, 12, 8, shared)
+print(f"  z(60,12,8) = {wide} (first-one, a wider layer whose 121 shared cells")
+print(f"  agreed with split's), cache holds {len(shared)} entries")

@@ -4,7 +4,8 @@ Subcommands: count, table, triangle, verify, enumerate, bijection.
 
 Exit status contract: 0 on success, 1 when `verify` finds mismatches, 2 on
 usage or domain errors (reported as one line on stderr).  All output is
-newline-terminated, decimal and locale-free.
+newline-terminated, decimal and locale-free, with every digit of every count
+printed, however many there are.
 
 The oracle-backed commands honor the limit on exhaustive-enumeration size:
 the --oracle-limit flag wins over the BITPAIRS_ORACLE_LIMIT environment
@@ -238,6 +239,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
+    # Counts are exact at any size, so lift CPython's cap on int <-> decimal
+    # conversion (4300 digits by default, where it exists) for this command only.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        old_digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -249,6 +256,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         if code is None:
             return 0
         return code if isinstance(code, int) else 2
+    finally:
+        if set_digits is not None:
+            set_digits(old_digits)
 
 
 def main() -> None:

@@ -14,15 +14,19 @@ z is computed by five independent routes that the test-suite cross-checks
 against each other:
 
 * :func:`z_oracle` -- exhaustive enumeration, the ground truth;
-* :func:`z_recur_split` -- memoized recurrence on the leading bits;
-* :func:`z_recur_firstone` -- memoized recurrence on the first-1 position;
+* :func:`z_recur_split` -- recurrence on the leading bits;
+* :func:`z_recur_firstone` -- recurrence on the first-1 position;
 * :func:`z_reduce_to_m0` -- reduction to the m = 0 column;
 * :func:`z_closed_m0` -- closed form for that column.
 
+The two recurrences run bottom-up over n on a square (k, m) grid, so their
+memory is bounded by a few grids of (max(k, m) + 1)**2 cells whatever n is.
+
 All counts are exact Python ints, so no n within reach of the fast methods
-overflows.  Every function is a pure function of its arguments; memo caches
-are explicit write-once maps, so concurrent callers can either share a cache
-or use one per thread with identical results.
+overflows.  Every function is a pure function of its arguments; the
+recurrences' optional caches are explicit write-once maps, so concurrent
+callers can either share a cache or use one per thread with identical
+results.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache
+from operator import add
 from typing import Callable, NamedTuple, Optional
 
 DEFAULT_ORACLE_LIMIT = 20  # one oracle pass enumerates at most 2**20 strings
@@ -48,11 +53,14 @@ class PairProfile(NamedTuple):
 class MemoCache(dict):
     """Write-once map from (n, k, m) triples to exact counts.
 
-    Both recurrences key their memo entries by the full triple, so a single
-    cache may be shared between them (and between threads: entries are
-    immutable ints and rewriting an identical value is a no-op).  Rewriting a
-    key with a *different* value raises, which turns any cache-corruption bug
-    into a loud failure instead of a wrong count.
+    A recurrence given a cache stores there every cell (n, a, b) of the final
+    layer it computed, so the four z calls of one :func:`s_circular` share a
+    single pass.  Both recurrences use the same keys, so a single cache may be
+    shared between them (and between threads: entries are immutable ints and
+    rewriting an identical value is a no-op).  Rewriting a key with a
+    *different* value raises, so a shared cache turns any disagreement of the
+    two routes on a cell they both wrote into a loud failure instead of a
+    wrong count.
     """
 
     def __setitem__(self, key: tuple[int, int, int], value: int) -> None:
@@ -206,8 +214,69 @@ def s_circular_oracle(n: int, k: int, m: int, *, limit: Optional[int] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# Routes 2 and 3: memoized recurrences
+# Routes 2 and 3: the recurrences, evaluated bottom-up over n
 # ---------------------------------------------------------------------------
+#
+# Both recurrences read z at a smaller length with the roles of k and m
+# possibly swapped, so the square grid 0 <= k, m <= K of one length is
+# computed from square grids of the same size at smaller lengths.  Each
+# route sweeps n upwards and keeps only the layers its recurrence reads.
+
+
+def _grid(size: int, cell: Callable[[int, int], int]) -> list[list[int]]:
+    return [[cell(a, b) for b in range(size)] for a in range(size)]
+
+
+def _split_layer(n: int, K: int) -> list[list[int]]:
+    """z(n, k, m) for 0 <= k, m <= K by the leading-bit split, n >= 1."""
+    size = K + 1
+    older = _grid(size, lambda a, b: int(a == b == 0))  # n = 1: "0"
+    if n == 1:
+        return older
+    old = _grid(size, lambda a, b: int(a <= 1 and b == 0))  # n = 2: "01", "00"
+    zero = [0] * size
+    for _ in range(3, n + 1):
+        flip = list(zip(*older))  # flip[k][m] = older[m][k]
+        new = [
+            list(map(add, map(add, old[k - 1] if k else zero, older[k]), (0, *flip[k][:-1])))
+            for k in range(size)
+        ]
+        older, old = old, new
+    return old
+
+
+def _firstone_layer(n: int, K: int) -> list[list[int]]:
+    """z(n, k, m) for 0 <= k, m <= K by the first-1 position sum, n >= 1.
+
+    q[a][t] holds the diagonal sum of z(L - i, a, t - i) over i = 0..t at
+    the current length L, so z(n, k, m), the sum over f = 1..k+1 of
+    z(n-f, m, k+1-f), is q[m][k] at L = n - 1, plus 1 for the all-zeros
+    string when k = n - 1 and m = 0.
+    """
+    size = K + 1
+    q = z = _grid(size, lambda a, b: 0)  # L = 0: no strings
+    for length in range(1, n + 1):
+        q = [list(map(add, (0, *q[a][:-1]), z[a])) for a in range(size)]  # L = length - 1
+        z = [list(row) for row in zip(*q)]  # z[k][m] = q[m][k]
+        if length - 1 <= K:
+            z[length - 1][0] += 1
+    return z
+
+
+def _layer_cell(
+    n: int, k: int, m: int, cache: Optional[MemoCache],
+    layer: Callable[[int, int], list[list[int]]],
+) -> int:
+    base = z_base_case(n, k, m)
+    if base is not None:
+        return base
+    if cache is None:
+        return layer(n, max(k, m))[k][m]
+    if (n, k, m) not in cache:
+        for a, row in enumerate(layer(n, max(k, m))):
+            for b, v in enumerate(row):
+                cache[n, a, b] = v
+    return cache[n, k, m]
 
 
 def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
@@ -215,38 +284,12 @@ def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> 
 
     A counted string starts with 00, 010 or 011; chopping the fixed prefix
     gives z(n,k,m) = z(n-1,k-1,m) + z(n-2,k,m) + z(n-2,m-1,k), the last term
-    with roles swapped because the remainder starts with 1.  Evaluated with
-    an explicit stack, so deep n cannot hit the interpreter recursion limit.
+    with roles swapped because the remainder starts with 1.  Evaluated
+    bottom-up from the layers n = 1 and 2, keeping two layers of
+    (max(k, m) + 1)**2 cells.  A given ``cache`` receives the cells of the
+    final layer and answers later queries at the same n from them.
     """
-    if cache is None:
-        cache = MemoCache()
-    key = (n, k, m)
-    if key in cache:
-        return cache[key]
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if top in cache:
-            stack.pop()
-            continue
-        n_, k_, m_ = top
-        base = z_base_case(n_, k_, m_)
-        if base is not None:
-            cache[top] = base
-            stack.pop()
-            continue
-        if n_ == 2:  # (2, 0, 0): the single string 01
-            cache[top] = 1
-            stack.pop()
-            continue
-        kids = ((n_ - 1, k_ - 1, m_), (n_ - 2, k_, m_), (n_ - 2, m_ - 1, k_))
-        missing = [t for t in kids if t not in cache]
-        if missing:
-            stack += missing
-            continue
-        cache[top] = cache[kids[0]] + cache[kids[1]] + cache[kids[2]]
-        stack.pop()
-    return cache[key]
+    return _layer_cell(n, k, m, cache, _split_layer)
 
 
 def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
@@ -257,60 +300,12 @@ def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) 
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
     the pair roles swapped.
 
-    Writing j = k+1-f, the terms are z(c+j, m, j) along the constant
-    diagonal c = n-k-1, so the sums of different (n, k) on one diagonal are
-    prefixes of each other.  The evaluation shares those running prefixes
-    instead of re-adding up to k+1 cached terms per memo entry, which is
-    what makes this route usable at n in the hundreds; the values are the
-    plain term-by-term sums either way.
+    Writing j = k+1-f, the terms z(n-k-1+j, m, j) lie on one diagonal of the
+    lower layers, so a running sum along each diagonal, carried bottom-up
+    from n = 1, holds every such sum term by term.  ``cache`` works as for
+    :func:`z_recur_split`.
     """
-    if cache is None:
-        cache = MemoCache()
-    key = (n, k, m)
-    got = cache.get(key, _MISSING)
-    if got is not _MISSING:
-        return got
-    prefix: dict[tuple[int, int, int], int] = {}  # (c, m, t) -> sum of terms j <= t
-    frontier: dict[tuple[int, int], int] = {}  # (c, m) -> largest t summed so far
-    stack = [key]
-    while stack:
-        top = stack[-1]
-        if top in cache:
-            stack.pop()
-            continue
-        n_, k_, m_ = top
-        base = z_base_case(n_, k_, m_)
-        if base is not None:
-            cache[top] = base
-            stack.pop()
-            continue
-        c = n_ - k_ - 1
-        t = frontier.get((c, m_), -1)
-        if t >= k_:
-            cache[top] = prefix[c, m_, k_]
-            stack.pop()
-            continue
-        acc = prefix[c, m_, t] if t >= 0 else 0
-        blocked = False
-        while t < k_:
-            j = t + 1
-            term_key = (c + j, m_, j)
-            v = cache.get(term_key, _MISSING)
-            if v is _MISSING:
-                v = z_base_case(c + j, m_, j)
-                if v is None:
-                    stack.append(term_key)
-                    blocked = True
-                    break
-                cache[term_key] = v
-            acc += v
-            t = j
-            prefix[c, m_, t] = acc
-        frontier[c, m_] = t
-        if not blocked:
-            cache[top] = acc
-            stack.pop()
-    return cache[key]
+    return _layer_cell(n, k, m, cache, _firstone_layer)
 
 
 # ---------------------------------------------------------------------------

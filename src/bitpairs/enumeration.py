@@ -11,7 +11,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .counting import (
-    DEFAULT_ORACLE_LIMIT,
+    _check_oracle_n,
+    _require_bits,
     circular_pair_counts,
     linear_pair_counts,
 )
@@ -21,17 +22,8 @@ _INVERT = str.maketrans("01", "10")
 
 def invert_bits(b: str) -> str:
     """The bitwise complement; swaps the roles of k and m in any profile."""
-    if not b:
-        raise ValueError("empty input")
-    if set(b) - {"0", "1"}:
-        raise ValueError(f"not a binary string: {b!r}")
+    _require_bits(b)
     return b.translate(_INVERT)
-
-
-def _check_enum_n(n: int, limit: Optional[int]) -> None:
-    lim = DEFAULT_ORACLE_LIMIT if limit is None else limit
-    if n > lim:
-        raise ValueError(f"oracle limit exceeded: n={n} > {lim}")
 
 
 def enumerate_Z(
@@ -44,7 +36,7 @@ def enumerate_Z(
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    _check_enum_n(n, limit)
+    _check_oracle_n(n, limit)
     width = f"0{n}b"
     out = []
     for v in range(1 << (n - 1)):
@@ -64,7 +56,7 @@ def enumerate_circular(
     """
     if n < 2:
         raise ValueError("circular adjacency undefined below length 2")
-    _check_enum_n(n, limit)
+    _check_oracle_n(n, limit)
     width = f"0{n}b"
     out = []
     for v in range(1 << n):
@@ -92,10 +84,7 @@ def to_terquem(b: str) -> tuple[int, ...]:
     Positions are 1-indexed: entry i means bits i and i+1 are both 0.  The
     result starts odd, alternates parity and stays within 1..n-1.
     """
-    if not b:
-        raise ValueError("empty input")
-    if set(b) - {"0", "1"}:
-        raise ValueError(f"not a binary string: {b!r}")
+    _require_bits(b)
     if b[0] != "0":
         raise ValueError("not in Z(n,k,0): leading bit is 1")
     t = []

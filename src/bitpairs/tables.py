@@ -22,7 +22,8 @@ from typing import NamedTuple, Optional
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
-    MemoCache,
+    _firstone_layer,
+    _split_layer,
     linear_pair_counts,
     s_circular,
     s_circular_oracle,
@@ -31,8 +32,6 @@ from .counting import (
     z_auto,
     z_closed_m0,
     z_oracle,
-    z_recur_firstone,
-    z_recur_split,
     z_reduce_to_m0,
 )
 
@@ -231,17 +230,14 @@ def verify_all(
     methods += ["end-parity", "column-collapse"]
 
     if do_linear:
-        split_cache = MemoCache()
-        firstone_cache = MemoCache()
         for n in range(1, max_n + 1):
+            # one whole layer per recurrence, boundary cells included
+            split, firstone = _split_layer(n, n), _firstone_layer(n, n)
             for k in range(n + 1):
                 for m in range(n + 1):
                     want = z_oracle(n, k, m, limit=limit)
-                    compare(n, k, m, "split", z_recur_split(n, k, m, split_cache), want)
-                    compare(
-                        n, k, m, "first-one",
-                        z_recur_firstone(n, k, m, firstone_cache), want,
-                    )
+                    compare(n, k, m, "split", split[k][m], want)
+                    compare(n, k, m, "first-one", firstone[k][m], want)
                     compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
                     compare(n, k, m, "auto", z_auto(n, k, m), want)
                     if m == 0:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import bitpairs.tables
 from bitpairs.cli import run
+from bitpairs.counting import z_auto
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -26,6 +27,24 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def digit_limit():
+    """CPython's cap on int <-> decimal conversion, or None where there is none."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else None
+
+
+def decimal(value):
+    # the test's own conversion, free of the cap the CLI lifts
+    if digit_limit() is None:
+        return str(value)
+    old = digit_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestCount:
@@ -77,6 +96,32 @@ class TestCount:
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")
         assert code == 0
         assert int(out) > 0
+
+
+class TestBeyondDigitLimit:
+    """Counts with more than 4300 decimal digits print in full."""
+
+    def test_count(self, capsys):
+        before = digit_limit()
+        code, out, err = invoke(capsys, "count", "--n", "22000", "--k", "9000", "--m", "2")
+        assert (code, err) == (0, "")
+        assert len(out) > 4301
+        assert out == decimal(z_auto(22000, 9000, 2)) + "\n"
+        assert digit_limit() == before
+
+    def test_limit_restored_after_error(self, capsys):
+        before = digit_limit()
+        code, _, _ = invoke(capsys, "count", "--n", "10", "--k", "3", "--m", "1", "--method", "closed")
+        assert code == 2
+        assert digit_limit() == before
+
+    def test_table_json(self, capsys, monkeypatch):
+        # any table with such counts has over 2 * 10**8 cells, so fake the counts
+        big = 10**5000 + 7
+        monkeypatch.setattr(bitpairs.tables, "z_auto", lambda n, k, m: big)
+        code, out, err = invoke(capsys, "table", "--n", "2", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out.count(decimal(big)) == 4
 
 
 class TestUsageErrors:

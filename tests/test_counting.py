@@ -1,5 +1,7 @@
 """Unit tests for the counting routes and their shared base-case layer."""
 
+import tracemalloc
+
 import pytest
 
 from bitpairs import (
@@ -166,6 +168,18 @@ class TestRecurrences:
     def test_deep_arguments_do_not_hit_recursion_limit(self):
         assert z_recur_split(400, 1, 1) == z_recur_firstone(400, 1, 1)
 
+    @pytest.mark.parametrize("recur", [z_recur_split, z_recur_firstone])
+    def test_memory_bounded(self, recur):
+        # a few (71 x 71)-cell layers of ints below 2**300, whatever n is
+        tracemalloc.start()
+        try:
+            value = recur(300, 70, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == z_auto(300, 70, 50)
+        assert peak < 32 * 2**20
+
 
 class TestMemoCache:
     def test_write_once(self):
@@ -182,9 +196,45 @@ class TestMemoCache:
         assert a == b == z_oracle(12, 3, 2)
 
     def test_warm_cache_matches_fresh(self):
-        warm = MemoCache()
-        z_recur_split(14, 4, 3, warm)
-        assert z_recur_split(10, 2, 2, warm) == z_recur_split(10, 2, 2, MemoCache())
+        for recur in (z_recur_split, z_recur_firstone):
+            warm = MemoCache()
+            recur(14, 4, 3, warm)
+            assert (14, 2, 2) in warm  # served from the layer the first call left
+            assert recur(14, 2, 2, warm) == recur(14, 2, 2, MemoCache()) == z_oracle(14, 2, 2)
+            assert recur(10, 2, 2, warm) == recur(10, 2, 2, MemoCache())
+
+    @pytest.mark.parametrize("recur", [z_recur_split, z_recur_firstone])
+    @pytest.mark.parametrize("n,k,m", [(40, 6, 3), (40, 2, 9), (150, 38, 22), (2, 0, 0)])
+    def test_cache_holds_final_layer_only(self, recur, n, k, m):
+        cache = MemoCache()
+        recur(n, k, m, cache)
+        assert cache
+        assert {key[0] for key in cache} == {n}
+        assert len(cache) <= (max(k, m) + 1) ** 2
+
+    def test_base_cases_leave_cache_empty(self):
+        cache = MemoCache()
+        for recur in (z_recur_split, z_recur_firstone):
+            assert recur(6, 4, 3, cache) == 0
+            assert recur(6, 5, 0, cache) == 1
+        assert not cache
+
+    @pytest.mark.parametrize("recur", [z_recur_split, z_recur_firstone])
+    def test_circular_queries_share_one_layer(self, recur):
+        cache = MemoCache()
+        got = s_circular(20, 5, 3, z=lambda n, k, m: recur(n, k, m, cache))
+        assert got == s_circular(20, 5, 3)
+        assert len(cache) == 6 * 6
+
+    def test_shared_cache_raises_when_routes_disagree(self):
+        # a wrong cell outside the first query's layer, as a faulty route
+        # would leave it; the other route's wider layer overwrites it
+        for first, second in ((z_recur_split, z_recur_firstone), (z_recur_firstone, z_recur_split)):
+            shared = MemoCache()
+            first(12, 2, 1, shared)
+            shared[12, 4, 4] = z_oracle(12, 4, 4) + 1
+            with pytest.raises(ValueError, match="overwrite"):
+                second(12, 4, 3, shared)
 
 
 class TestReduction:

@@ -168,9 +168,13 @@ class TestMemoSoundness:
         shared = MemoCache()
         warm_split = MemoCache()
         warm_first = MemoCache()
-        z_recur_split(19, 5, 5, warm_split)
-        z_recur_firstone(19, 5, 5, warm_first)
+        # a cache keeps whole layers, so warm each target's length with the
+        # widest query at that length; the targets then read cached cells
+        for n, _, _ in targets:
+            z_recur_split(n, n - 2, 0, warm_split)
+            z_recur_firstone(n, n - 2, 0, warm_first)
         for n, k, m in targets:
+            assert (n, k, m) in warm_split and (n, k, m) in warm_first
             want = z_oracle(n, k, m)
             assert z_recur_split(n, k, m, MemoCache()) == want
             assert z_recur_firstone(n, k, m, MemoCache()) == want
