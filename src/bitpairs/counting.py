@@ -13,11 +13,17 @@ Conventions used throughout the package:
 z is computed by five independent routes that the test-suite cross-checks
 against each other:
 
-* :func:`z_oracle` -- exhaustive enumeration, the ground truth;
+* :func:`z_oracle` -- exhaustive scan of every string, the ground truth;
 * :func:`z_recur_split` -- recurrence on the leading bits;
 * :func:`z_recur_firstone` -- recurrence on the first-1 position;
 * :func:`z_reduce_to_m0` -- reduction to the m = 0 column;
 * :func:`z_closed_m0` -- closed form for that column.
+
+The oracles, the enumerators and ``verify_all``'s end-bit parity check share
+one scan that reads each string's pair counts off the bits of its index with
+``int.bit_count``; :func:`linear_pair_counts` and
+:func:`circular_pair_counts` remain the string-level definitions it is tested
+against.
 
 The two recurrences run bottom-up over n on a square (k, m) grid, so their
 memory is bounded by a few grids of (max(k, m) + 1)**2 cells whatever n is.
@@ -35,7 +41,7 @@ import math
 from collections import Counter
 from functools import lru_cache
 from operator import add
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 DEFAULT_ORACLE_LIMIT = 20  # one oracle pass enumerates at most 2**20 strings
 
@@ -84,6 +90,14 @@ def _require_bits(b: str) -> None:
         raise ValueError(f"not a binary string: {b!r}")
 
 
+def _check_length(n: int, circular: bool) -> None:
+    if circular:
+        if n < 2:
+            raise ValueError("circular adjacency undefined below length 2")
+    elif n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def linear_pair_counts(b: str) -> PairProfile:
     """Profile of b under linear adjacency (wraparound excluded).
 
@@ -103,23 +117,14 @@ def linear_pair_counts(b: str) -> PairProfile:
 def circular_pair_counts(b: str) -> PairProfile:
     """Profile of b with position n-1 adjacent to position 0.
 
-    Every ordered slot (i, i+1 mod n) for i in 0..n-1 is examined, so for
-    n = 2 both orderings count and "00" yields k = 2.  Length below 2 is
-    rejected: a single bit has no second position to pair with.
+    The linear profile plus the wraparound slot (b[-1], b[0]), so for n = 2
+    both orderings count and "00" yields k = 2.  Length below 2 is rejected:
+    a single bit has no second position to pair with.
     """
-    _require_bits(b)
-    n = len(b)
-    if n < 2:
-        raise ValueError("circular adjacency undefined below length 2")
-    k = m = 0
-    for i in range(n):
-        x = b[i]
-        if x == b[(i + 1) % n]:
-            if x == "0":
-                k += 1
-            else:
-                m += 1
-    return PairProfile(n, k, m)
+    n, k, m = linear_pair_counts(b)
+    _check_length(n, circular=True)
+    wrap = b[-1] + b[0]
+    return PairProfile(n, k + (wrap == "00"), m + (wrap == "11"))
 
 
 def sd_encode(b: str) -> str:
@@ -164,53 +169,52 @@ def z_base_case(n: int, k: int, m: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle_n(n: int, limit: Optional[int]) -> None:
+def _check_oracle_n(n: int, circular: bool, limit: Optional[int]) -> None:
+    _check_length(n, circular)
     lim = DEFAULT_ORACLE_LIMIT if limit is None else limit
     if n > lim:
         raise ValueError(f"oracle limit exceeded: n={n} > {lim}")
 
 
-@lru_cache(maxsize=None)
-def _linear_profile_histogram(n: int) -> dict[tuple[int, int], int]:
-    # One pass per n over all 2**(n-1) strings that start with 0.
-    hist: Counter = Counter()
-    width = f"0{n}b"
-    for v in range(1 << (n - 1)):
-        p = linear_pair_counts(format(v, width))
-        hist[p.k, p.m] += 1
-    return dict(hist)
+def _profiles(n: int, strings: int, circular: bool) -> Iterator[tuple[int, int, int]]:
+    """(v, k, m) for every v < strings, v read as the string format(v, f"0{n}b").
+
+    Bit i of v holds string position n-1-i.  With w = v >> 1, plus bit 0
+    rotated into bit n-1 under circular adjacency, bit i of v & w is set
+    exactly when positions n-2-i and n-1-i (mod n) are both 1, and a clear
+    bit of v | w among the adjacent slots marks a 0-pair.
+    """
+    slots = (1 << (n if circular else n - 1)) - 1
+    top, wrap = n - 1, int(circular)
+    for v in range(strings):
+        w = v >> 1 | (v & wrap) << top
+        yield v, (~(v | w) & slots).bit_count(), (v & w).bit_count()
 
 
 @lru_cache(maxsize=None)
-def _circular_profile_histogram(n: int) -> dict[tuple[int, int], int]:
-    hist: Counter = Counter()
-    width = f"0{n}b"
-    for v in range(1 << n):
-        p = circular_pair_counts(format(v, width))
-        hist[p.k, p.m] += 1
-    return dict(hist)
+def _profile_histogram(n: int, circular: bool) -> dict[tuple[int, int], int]:
+    # One pass per n: the 2**(n-1) strings that start with 0, or all 2**n.
+    strings = 1 << (n if circular else n - 1)
+    return dict(Counter((k, m) for _, k, m in _profiles(n, strings, circular)))
 
 
 def z_oracle(n: int, k: int, m: int, *, limit: Optional[int] = None) -> int:
-    """z(n, k, m) by enumerating every length-n string that starts with 0.
+    """z(n, k, m) by scanning every length-n string that starts with 0.
 
-    Ground truth for the formula-based routes.  The enumeration histograms
-    all profiles of a given n in a single pass, so repeated queries at the
-    same n cost nothing extra.  Exponential in n: refused above the oracle
-    limit (default 20).
+    Ground truth for the formula-based routes.  One pass reads each string's
+    pair counts off the bits of its index (see :func:`_profiles`, which the
+    tests pin to :func:`linear_pair_counts`) and histograms all profiles of
+    that n, so repeated queries at the same n cost nothing extra.
+    Exponential in n: refused above the oracle limit (default 20).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_oracle_n(n, limit)
-    return _linear_profile_histogram(n).get((k, m), 0)
+    _check_oracle_n(n, False, limit)
+    return _profile_histogram(n, False).get((k, m), 0)
 
 
 def s_circular_oracle(n: int, k: int, m: int, *, limit: Optional[int] = None) -> int:
-    """Circular-adjacency count by enumerating all 2**n length-n strings."""
-    if n < 2:
-        raise ValueError("circular adjacency undefined below length 2")
-    _check_oracle_n(n, limit)
-    return _circular_profile_histogram(n).get((k, m), 0)
+    """Circular-adjacency count by scanning all 2**n length-n strings."""
+    _check_oracle_n(n, True, limit)
+    return _profile_histogram(n, True).get((k, m), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +408,7 @@ def s_circular(
     where the mirrored arguments account for strings starting with 1 via bit
     inversion.  ``z`` selects the linear-count route (default: z_auto).
     """
-    if n < 2:
-        raise ValueError("circular adjacency undefined below length 2")
+    _check_length(n, circular=True)
     if (n + k + m) % 2 == 1:
         return 0
     return z(n, k, m) + z(n, k - 1, m) + z(n, m, k) + z(n, m - 1, k)

@@ -10,12 +10,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .counting import (
-    _check_oracle_n,
-    _require_bits,
-    circular_pair_counts,
-    linear_pair_counts,
-)
+from .counting import _check_length, _check_oracle_n, _profiles, _require_bits
 
 _INVERT = str.maketrans("01", "10")
 
@@ -34,16 +29,9 @@ def enumerate_Z(
     Lexicographic order; exhaustive scan of 2**(n-1) candidates, so the
     oracle limit applies.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    _check_oracle_n(n, limit)
+    _check_oracle_n(n, False, limit)
     width = f"0{n}b"
-    out = []
-    for v in range(1 << (n - 1)):
-        b = format(v, width)
-        if linear_pair_counts(b)[1:] == (k, m):
-            out.append(b)
-    return out
+    return [format(v, width) for v, a, b in _profiles(n, 1 << (n - 1), False) if (a, b) == (k, m)]
 
 
 def enumerate_circular(
@@ -54,16 +42,9 @@ def enumerate_circular(
     Lexicographic order; scans all 2**n candidates, so the oracle limit
     applies.
     """
-    if n < 2:
-        raise ValueError("circular adjacency undefined below length 2")
-    _check_oracle_n(n, limit)
+    _check_oracle_n(n, True, limit)
     width = f"0{n}b"
-    out = []
-    for v in range(1 << n):
-        b = format(v, width)
-        if circular_pair_counts(b)[1:] == (k, m):
-            out.append(b)
-    return out
+    return [format(v, width) for v, a, b in _profiles(n, 1 << n, True) if (a, b) == (k, m)]
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +102,7 @@ def from_terquem(t: Sequence[int], n: int) -> str:
     Inverse of :func:`to_terquem`: the result starts with 0 and each later
     bit repeats its predecessor at a listed slot and flips otherwise.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_length(n, circular=False)
     _validate_terquem(t, n - 1, "odd")
     slots = set(t)
     bits = ["0"]

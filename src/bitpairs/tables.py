@@ -22,9 +22,10 @@ from typing import NamedTuple, Optional
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
+    _check_length,
     _firstone_layer,
+    _profiles,
     _split_layer,
-    linear_pair_counts,
     s_circular,
     s_circular_oracle,
     terquem_T,
@@ -61,16 +62,9 @@ def z_table(n: int, mode: str = "linear") -> ZTable:
     """All counts for length n in one table, computed by the fast methods."""
     if mode not in ("linear", "circular"):
         raise ValueError(f"unsupported mode: {mode!r} (supported: linear, circular)")
-    if mode == "linear":
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        hi = n - 1
-        count = z_auto
-    else:
-        if n < 2:
-            raise ValueError("circular adjacency undefined below length 2")
-        hi = n
-        count = s_circular
+    circular = mode == "circular"
+    _check_length(n, circular)
+    hi, count = (n, s_circular) if circular else (n - 1, z_auto)
     cells = tuple(
         (k, m, count(n, k, m)) for k in range(hi + 1) for m in range(hi + 1)
     )
@@ -255,18 +249,14 @@ def verify_all(
 
     # end-bit parity rule, checked against every string of every length
     for n in range(1, max_n + 1):
-        width = f"0{n}b"
         reported: set[tuple[int, int]] = set()
-        for v in range(1 << n):
-            b = format(v, width)
-            _, k, m = linear_pair_counts(b)
-            checks += 1
+        for v, k, m in _profiles(n, 1 << n, False):
+            ends = v >> (n - 1) == v & 1  # first and last bit of the string
             predicted = wrap_parity_predicts_equal_ends(n, k, m)
-            if (b[0] == b[-1]) != predicted and (k, m) not in reported:
+            if ends != predicted and (k, m) not in reported:
                 reported.add((k, m))
-                mismatches.append(
-                    Mismatch(n, k, m, "end-parity", int(b[0] == b[-1]), int(predicted))
-                )
+                mismatches.append(Mismatch(n, k, m, "end-parity", int(ends), int(predicted)))
+        checks += 1 << n
 
     # the 0-pair-free column collapses to the previous length's m = 0 column
     for n in range(1, max_n + 1):

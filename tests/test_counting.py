@@ -23,6 +23,7 @@ from bitpairs import (
     z_recur_split,
     z_reduce_to_m0,
 )
+from bitpairs.counting import _profiles
 
 
 class TestBinomial:
@@ -46,6 +47,8 @@ class TestPairCounts:
         assert linear_pair_counts("00") == (2, 1, 0)
         assert linear_pair_counts("0111") == (4, 0, 2)
         assert linear_pair_counts("0") == (1, 0, 0)
+        assert list(_profiles(1, 2, False)) == [(0, 0, 0), (1, 0, 0)]
+        assert list(_profiles(2, 4, False)) == [(0, 1, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)]
 
     def test_returns_profile(self):
         p = linear_pair_counts("0011")
@@ -60,6 +63,7 @@ class TestPairCounts:
     def test_circular_length_two_counts_both_orderings(self):
         assert circular_pair_counts("00") == (2, 2, 0)
         assert circular_pair_counts("11") == (2, 0, 2)
+        assert list(_profiles(2, 4, True)) == [(0, 2, 0), (1, 0, 0), (2, 0, 0), (3, 0, 2)]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty input"):

@@ -23,6 +23,7 @@ from bitpairs import (
     z_recur_split,
     z_reduce_to_m0,
 )
+from bitpairs.counting import _profiles
 
 bit_strings = st.text(alphabet="01", min_size=1, max_size=50)
 
@@ -115,7 +116,17 @@ class TestInversionSymmetry:
 class TestEndBitParity:
     def test_exhaustive(self):
         for n in range(1, 13):
-            for b in all_strings(n):
+            strings = list(all_strings(n))
+            # the bitwise scan behind the oracles, the enumerators and
+            # verify_all must agree with the string-level definitions
+            assert list(_profiles(n, 1 << n, False)) == [
+                (v, *linear_pair_counts(b)[1:]) for v, b in enumerate(strings)
+            ]
+            if n >= 2:
+                assert list(_profiles(n, 1 << n, True)) == [
+                    (v, *circular_pair_counts(b)[1:]) for v, b in enumerate(strings)
+                ]
+            for b in strings:
                 _, k, m = linear_pair_counts(b)
                 predicted = wrap_parity_predicts_equal_ends(n, k, m)
                 assert (b[0] == b[-1]) == predicted
