@@ -1,4 +1,4 @@
-"""Tour of the five counting routes and where each one earns its keep.
+"""Tour of the six counting routes and where each one earns its keep.
 
 Run:  python3 demos/counting_methods.py
 """
@@ -25,7 +25,7 @@ print(f"  brute force:  {s_circular_oracle(8, 2, 2)}")
 print()
 
 print("The linear count z(n,k,m) fixes a leading 0 and drops the wraparound")
-print("adjacency.  Five independent routes compute it:")
+print("adjacency.  Six independent routes compute it; five apply here:")
 print()
 n, k, m = 12, 3, 2
 routes = [
@@ -33,7 +33,7 @@ routes = [
     ("leading-bit recurrence", lambda: z_recur_split(n, k, m)),
     ("first-1-position recurrence", lambda: z_recur_firstone(n, k, m)),
     ("reduction to the m=0 column", lambda: z_reduce_to_m0(n, k, m)),
-    ("auto dispatch", lambda: z_auto(n, k, m)),
+    ("runs count, two binomials", lambda: z_auto(n, k, m)),
 ]
 for name, fn in routes:
     print(f"  z({n},{k},{m}) = {fn():>4}   via {name}")

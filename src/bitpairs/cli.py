@@ -20,6 +20,7 @@ import sys
 from typing import Callable, Optional
 
 from .counting import (
+    DEFAULT_ORACLE_LIMIT,
     MemoCache,
     s_circular,
     s_circular_oracle,
@@ -188,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--oracle-limit",
             type=_nonneg,
             default=None,
-            help=f"max n for exhaustive enumeration (default 20; env {ORACLE_LIMIT_ENV})",
+            help=f"max n for exhaustive enumeration "
+            f"(default {DEFAULT_ORACLE_LIMIT}; env {ORACLE_LIMIT_ENV})",
         )
 
     p = sub.add_parser("count", help="print one exact count")

@@ -10,14 +10,15 @@ Conventions used throughout the package:
 * ``s_circular(n, k, m)`` counts all length-n strings, either leading bit,
   with exactly k 0-pairs and m 1-pairs under circular adjacency.
 
-z is computed by five independent routes that the test-suite cross-checks
+z is computed by six independent routes that the test-suite cross-checks
 against each other:
 
 * :func:`z_oracle` -- exhaustive scan of every string, the ground truth;
 * :func:`z_recur_split` -- recurrence on the leading bits;
 * :func:`z_recur_firstone` -- recurrence on the first-1 position;
 * :func:`z_reduce_to_m0` -- reduction to the m = 0 column;
-* :func:`z_closed_m0` -- closed form for that column.
+* :func:`z_closed_m0` -- closed form for that column;
+* :func:`z_auto` -- the runs count, two binomials: the fast path.
 
 The oracles, the enumerators and ``verify_all``'s end-bit parity check share
 one scan that reads each string's pair counts off the bits of its index with
@@ -313,7 +314,7 @@ def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) 
 
 
 # ---------------------------------------------------------------------------
-# Routes 4 and 5: reduction to the m = 0 column and its closed form
+# Routes 4 to 6: the reduction to m = 0, its closed form, the runs count
 # ---------------------------------------------------------------------------
 
 
@@ -373,19 +374,21 @@ def z_reduce_to_m0(n: int, k: int, m: int) -> int:
 
 
 def z_auto(n: int, k: int, m: int) -> int:
-    """z by the fastest applicable route.
+    """z by counting runs (Mood 1940, *Ann. Math. Stat.* 11:367-392).
 
-    Boundary values come straight from :func:`z_base_case`, the m = 0 column
-    from the closed form, everything else from the run-injection reduction.
-    The recurrences are deliberately not used here so they stay available as
-    independent cross-checks.
+    A counted string is r = n-k-m alternating runs that start with a 0-run,
+    so it has ceil(r/2) 0-runs and ones = floor(r/2) 1-runs.  A run of
+    length L holds L-1 pairs, so the 0-runs split the n-m-ones zeros into
+    ceil(r/2) positive parts, C(n-m-ones-1, k) ways, and the 1-runs split
+    the m+ones ones into ones positive parts, C(m+ones-1, m) ways.  Off the
+    boundary r >= 2, so both run counts are positive.  Two binomials, no
+    loop, and a derivation independent of every other route.
     """
     base = z_base_case(n, k, m)
     if base is not None:
         return base
-    if m == 0:
-        return z_closed_m0(n, k)
-    return z_reduce_to_m0(n, k, m)
+    ones = (n - k - m) // 2
+    return binomial(n - m - ones - 1, k) * binomial(m + ones - 1, m)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .counting import (
@@ -41,8 +40,12 @@ TRIANGLE_FORMATS = ("csv", "bfile")
 VERIFY_MODES = ("linear", "circular", "both")
 
 
-@dataclass(frozen=True)
-class ZTable:
+def _check_choice(what: str, value: str, options: tuple[str, ...]) -> None:
+    if value not in options:
+        raise ValueError(f"unsupported {what}: {value!r} (supported: {', '.join(options)})")
+
+
+class ZTable(NamedTuple):
     """Every profile count for one string length, zero cells included.
 
     Linear tables cover 0 <= k, m <= n-1 and sum to 2**(n-1); circular
@@ -60,8 +63,7 @@ class ZTable:
 
 def z_table(n: int, mode: str = "linear") -> ZTable:
     """All counts for length n in one table, computed by the fast methods."""
-    if mode not in ("linear", "circular"):
-        raise ValueError(f"unsupported mode: {mode!r} (supported: linear, circular)")
+    _check_choice("mode", mode, ("linear", "circular"))
     circular = mode == "circular"
     _check_length(n, circular)
     hi, count = (n, s_circular) if circular else (n - 1, z_auto)
@@ -73,10 +75,7 @@ def z_table(n: int, mode: str = "linear") -> ZTable:
 
 def render_z_table(n: int, mode: str = "linear", fmt: str = "csv") -> str:
     """Table of (n, k, m, count) records in csv, tsv or json."""
-    if fmt not in Z_TABLE_FORMATS:
-        raise ValueError(
-            f"unsupported format: {fmt!r} (supported: {', '.join(Z_TABLE_FORMATS)})"
-        )
+    _check_choice("format", fmt, Z_TABLE_FORMATS)
     table = z_table(n, mode)
     if fmt == "json":
         records = [{"n": n, "k": k, "m": m, "count": c} for k, m, c in table.cells]
@@ -93,10 +92,7 @@ def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
     The mode is recovered from the cell count: a linear table has n**2
     cells, a circular one (n+1)**2.
     """
-    if fmt not in Z_TABLE_FORMATS:
-        raise ValueError(
-            f"unsupported format: {fmt!r} (supported: {', '.join(Z_TABLE_FORMATS)})"
-        )
+    _check_choice("format", fmt, Z_TABLE_FORMATS)
     if fmt == "json":
         records = [(r["n"], r["k"], r["m"], r["count"]) for r in json.loads(text)]
     else:
@@ -129,10 +125,7 @@ def render_terquem_triangle(rows: int, fmt: str = "csv") -> str:
     """
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
-    if fmt not in TRIANGLE_FORMATS:
-        raise ValueError(
-            f"unsupported format: {fmt!r} (supported: {', '.join(TRIANGLE_FORMATS)})"
-        )
+    _check_choice("format", fmt, TRIANGLE_FORMATS)
     entries = [(n, k, terquem_T(n, k)) for n in range(rows) for k in range(n + 1)]
     if fmt == "csv":
         lines = ["n,k,T"] + [f"{n},{k},{t}" for n, k, t in entries]
@@ -155,8 +148,7 @@ class Mismatch(NamedTuple):
     expected: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of cross-checking the fast methods against the oracles."""
 
     max_n: int
@@ -196,8 +188,7 @@ def verify_all(
     string and the z(n,0,m) = z(n-1,m,0) identity.  The report lists every
     mismatch sorted by (n, k, m, method); success means none.
     """
-    if mode not in VERIFY_MODES:
-        raise ValueError(f"unsupported mode: {mode!r} (supported: {', '.join(VERIFY_MODES)})")
+    _check_choice("mode", mode, VERIFY_MODES)
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
     lim = DEFAULT_ORACLE_LIMIT if limit is None else limit

@@ -296,6 +296,28 @@ class TestAuto:
         for n, k, m in [(7, 2, 1), (9, 0, 4), (10, 3, 3), (12, 5, 0)]:
             assert z_auto(n, k, m) == z_oracle(n, k, m)
 
+    def test_matches_oracle_full_grid(self):
+        # k, m from -1 to n+2 cover junk arguments and the k + m = n-1 line
+        for n in range(1, 17):
+            for k in range(-1, n + 3):
+                for m in range(-1, n + 3):
+                    assert z_auto(n, k, m) == z_oracle(n, k, m), (n, k, m)
+
+    @pytest.mark.parametrize("n,k,m", [(2000, 500, 300), (5000, 1200, 800), (20000, 8800, 3)])
+    def test_matches_reduction_at_scale(self, n, k, m):
+        assert z_auto(n, k, m) == z_reduce_to_m0(n, k, m)
+
+    def test_independent_of_reduction_and_closed_form(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("z_auto must not use another route")
+
+        monkeypatch.setattr("bitpairs.counting.z_reduce_to_m0", refuse)
+        monkeypatch.setattr("bitpairs.counting.z_closed_m0", refuse)
+        for n in range(1, 13):
+            for k in range(n + 1):
+                for m in range(n + 1):
+                    assert z_auto(n, k, m) == z_oracle(n, k, m), (n, k, m)
+
 
 class TestCircular:
     def test_examples(self):
