@@ -99,21 +99,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if m != 0:
             raise ValueError("method 'closed' requires m = 0")
         value = z_closed_m0(n, k)
+    elif args.circular and method == "oracle":
+        value = s_circular_oracle(n, k, m, limit=limit)
     elif args.circular:
-        if method == "auto":
-            value = s_circular(n, k, m)
-        elif method == "oracle":
-            value = s_circular_oracle(n, k, m, limit=limit)
-        else:
-            value = s_circular(n, k, m, z=_linear_evaluator(method, limit))
+        # the four linear terms share one recurrence pass through the cache
+        value = s_circular(n, k, m, z=_linear_evaluator(method, limit, MemoCache()))
     else:
-        value = _linear_evaluator(method, limit)(n, k, m)
+        value = _linear_evaluator(method, limit, None)(n, k, m)
     print(value)
     return 0
 
 
 def _linear_evaluator(
-    method: str, limit: Optional[int]
+    method: str, limit: Optional[int], cache: Optional[MemoCache]
 ) -> Callable[[int, int, int], int]:
     if method == "auto":
         return z_auto
@@ -122,7 +120,6 @@ def _linear_evaluator(
     if method == "reduce":
         return z_reduce_to_m0
     recur = z_recur_split if method == "split" else z_recur_firstone
-    cache = MemoCache()
     return lambda n, k, m: recur(n, k, m, cache)
 
 

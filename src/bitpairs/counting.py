@@ -343,33 +343,31 @@ def z_reduce_to_m0(n: int, k: int, m: int) -> int:
     Deleting every run of two or more 1s from a counted string leaves a
     string with no 1-pairs; re-injecting the runs is a weighted choice of
     injection sites and run lengths.  Summing over the number of deleted
-    runs f gives, per f, the term
+    runs f gives, per f, C(m-1, f-1) ways to split the m pairs over the f
+    runs, times
 
-        C(k+f, f) * C(m-1, f-1) * z(n-m-f, k+f, 0)
+        C(k+f, f) * z(n-m-f, k+f, 0)
 
     for strings not ending in 11, plus, when n+k+m is even (the only parity
     at which a counted string can end in 11),
 
-        C(k+f-1, f-1) * C(m-1, f-1) * z(n-m-f, k+f-1, 0).
+        C(k+f-1, f-1) * z(n-m-f, k+f-1, 0).
 
-    Every z(., ., 0) value comes from the closed form, so this route runs in
-    O(m) big-int operations.
+    One loop over f evaluates both terms.  Every z(., ., 0) value comes from
+    the closed form, so this route runs in O(m) big-int operations.
     """
     base = z_base_case(n, k, m)
     if base is not None:
         return base
     if m == 0:
         return z_closed_m0(n, k)
+    ends_in_11 = (n + k + m) % 2 == 0
     total = 0
     for f in range(1, m + 1):
-        total += binomial(k + f, f) * binomial(m - 1, f - 1) * z_closed_m0(n - m - f, k + f)
-    if (n + k + m) % 2 == 0:
-        for f in range(1, m + 1):
-            total += (
-                binomial(k + f - 1, f - 1)
-                * binomial(m - 1, f - 1)
-                * z_closed_m0(n - m - f, k + f - 1)
-            )
+        term = binomial(k + f, f) * z_closed_m0(n - m - f, k + f)
+        if ends_in_11:
+            term += binomial(k + f - 1, f - 1) * z_closed_m0(n - m - f, k + f - 1)
+        total += binomial(m - 1, f - 1) * term
     return total
 
 

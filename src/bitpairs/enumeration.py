@@ -77,8 +77,7 @@ def to_terquem(b: str) -> tuple[int, ...]:
     return tuple(t)
 
 
-def _validate_terquem(t: Sequence[int], bound: int, start_parity: str) -> None:
-    first = 1 if start_parity == "odd" else 0
+def _validate_terquem(t: Sequence[int], bound: int) -> None:
     prev = 0
     for i, v in enumerate(t, start=1):
         if not 1 <= v <= bound:
@@ -87,11 +86,9 @@ def _validate_terquem(t: Sequence[int], bound: int, start_parity: str) -> None:
             raise ValueError(
                 "invalid Terquem sequence: entries must be strictly increasing"
             )
-        if v % 2 != (first + i + 1) % 2:
+        if v % 2 != i % 2:  # entry i has the parity of i, so the first is odd
             if i == 1:
-                raise ValueError(
-                    f"invalid Terquem sequence: first entry must be {start_parity}"
-                )
+                raise ValueError("invalid Terquem sequence: first entry must be odd")
             raise ValueError("invalid Terquem sequence: entries must alternate parity")
         prev = v
 
@@ -103,7 +100,7 @@ def from_terquem(t: Sequence[int], n: int) -> str:
     bit repeats its predecessor at a listed slot and flips otherwise.
     """
     _check_length(n, circular=False)
-    _validate_terquem(t, n - 1, "odd")
+    _validate_terquem(t, n - 1)
     slots = set(t)
     bits = ["0"]
     for i in range(1, n):

@@ -7,9 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import bitpairs.cli
 import bitpairs.tables
 from bitpairs.cli import run
-from bitpairs.counting import z_auto
+from bitpairs.counting import MemoCache, z_auto
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -91,6 +92,24 @@ class TestCount:
             capsys, "count", "--n", "10", "--k", "3", "--m", "0", "--circular", "--method", "closed"
         )
         assert code == 2
+
+    def test_recurrence_cache_only_for_circular(self, capsys, monkeypatch):
+        # a linear query reads one cell; only the four circular terms share a cache
+        built = []
+
+        class CountingCache(MemoCache):
+            def __init__(self):
+                super().__init__()
+                built.append(self)
+
+        monkeypatch.setattr(bitpairs.cli, "MemoCache", CountingCache)
+        for method in ("split", "first-one"):
+            args = ("count", "--n", "10", "--k", "2", "--m", "2", "--method", method)
+            built.clear()
+            assert invoke(capsys, *args) == (0, "36\n", "")
+            assert built == []
+            assert invoke(capsys, *args, "--circular")[:2] == (0, "120\n")
+            assert len(built) == 1 and len(built[0]) > 0
 
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")

@@ -7,6 +7,7 @@ import pytest
 import bitpairs.tables
 from bitpairs import (
     Mismatch,
+    linear_pair_counts,
     parse_z_table,
     render_terquem_triangle,
     render_z_table,
@@ -100,6 +101,18 @@ class TestRenderZTable:
         good = render_z_table(3, "linear", "csv")
         with pytest.raises(ValueError, match="unexpected cell count"):
             parse_z_table(good + "3,9,9,0\n", "csv")
+        for text in (
+            '[{"n": 1}]',
+            "[[1, 0, 0, 1]]",
+            '{"n": 1}',
+            "null",
+            '[{"n": 1, "k": 0, "m": 0, "count": 1, "extra": 0}]',
+            '[{"n": 1, "k": 0, "m": 0, "count": "1"}]',
+            '[{"n": 1, "k": 0, "m": 0, "count": true}]',
+            '[{"n": 1, "k": 0, "m": 0.0, "count": 1}]',
+        ):
+            with pytest.raises(ValueError, match="malformed table"):
+                parse_z_table(text, "json")
 
 
 class TestTriangle:
@@ -186,3 +199,24 @@ class TestVerifyAll:
         assert list(report.mismatches) == sorted(
             report.mismatches, key=lambda w: (w.n, w.k, w.m, w.method)
         )
+
+    def test_fault_injection_end_parity(self, monkeypatch):
+        # wrong exactly when k == 1: one mismatch per such linear profile
+        def wrong(n, k, m):
+            return ((n + k + m) % 2 == 1) != (k == 1)
+
+        clean = verify_all(9, "linear")
+        monkeypatch.setattr(bitpairs.tables, "wrap_parity_predicts_equal_ends", wrong)
+        report = verify_all(9, "linear")
+        expected = set()
+        for n in range(1, 10):
+            for v in range(1 << n):
+                b = format(v, f"0{n}b")
+                _, k, m = linear_pair_counts(b)
+                ends = b[0] == b[-1]
+                if ends != wrong(n, k, m):
+                    expected.add(Mismatch(n, k, m, "end-parity", int(ends), int(wrong(n, k, m))))
+        assert expected
+        assert len({w[:3] for w in expected}) == len(expected)
+        assert report.mismatches == tuple(sorted(expected))
+        assert report.checks == clean.checks
