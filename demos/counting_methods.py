@@ -24,6 +24,13 @@ print(f"  formula:      {s_circular(8, 2, 2)}")
 print(f"  brute force:  {s_circular_oracle(8, 2, 2)}")
 print()
 
+print("The formula is one linear count.  A ring with r = (n-k-m)/2 runs of each")
+print("bit has r places where a 0-run starts; cut there, it is a string counted")
+print("by z(n,k,m), and each such string closes into a ring at any of its n")
+print("rotations, so r * s(n,k,m) = n * z(n,k,m):")
+print(f"  s(8,2,2) = 8 * z(8,2,2) / 2 = 8 * {z_auto(8, 2, 2)} / 2")
+print()
+
 print("The linear count z(n,k,m) fixes a leading 0 and drops the wraparound")
 print("adjacency.  Six independent routes compute it; five apply here:")
 print()
@@ -55,12 +62,14 @@ print()
 
 print("Both recurrences run bottom-up over n on a grid of (max(k,m)+1)^2")
 print("cells, so their memory stays bounded whatever n is.  An optional")
-print("write-once MemoCache receives the final layer: the four z calls of one")
-print("ring count share a single pass, and a cache shared by both recurrences")
-print("raises if they ever disagree on a cell both of them wrote:")
+print("write-once MemoCache receives the final layer, so a warm cache answers")
+print("later queries at the same n without another pass, and a cache shared by")
+print("both recurrences raises if they ever disagree on a cell both wrote:")
 shared = MemoCache()
-ring = s_circular(60, 10, 8, z=lambda n, k, m: z_recur_split(n, k, m, shared))
-print(f"  s(60,10,8) = {ring} (split, one layer), cache holds {len(shared)} entries")
+first = z_recur_split(60, 10, 8, shared)
+print(f"  z(60,10,8) = {first} (split, one layer), cache holds {len(shared)} entries")
+again = z_recur_split(60, 3, 5, shared)
+print(f"  z(60,3,5) = {again} (read off that layer), cache holds {len(shared)} entries")
 wide = z_recur_firstone(60, 12, 8, shared)
 print(f"  z(60,12,8) = {wide} (first-one, a wider layer whose 121 shared cells")
 print(f"  agreed with split's), cache holds {len(shared)} entries")

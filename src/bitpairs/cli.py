@@ -21,7 +21,6 @@ from typing import Callable, Optional
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
-    MemoCache,
     s_circular,
     s_circular_oracle,
     z_auto,
@@ -102,25 +101,21 @@ def _cmd_count(args: argparse.Namespace) -> int:
     elif args.circular and method == "oracle":
         value = s_circular_oracle(n, k, m, limit=limit)
     elif args.circular:
-        # the four linear terms share one recurrence pass through the cache
-        value = s_circular(n, k, m, z=_linear_evaluator(method, limit, MemoCache()))
+        value = s_circular(n, k, m, z=_linear_evaluator(method, limit))
     else:
-        value = _linear_evaluator(method, limit, None)(n, k, m)
+        value = _linear_evaluator(method, limit)(n, k, m)
     print(value)
     return 0
 
 
-def _linear_evaluator(
-    method: str, limit: Optional[int], cache: Optional[MemoCache]
-) -> Callable[[int, int, int], int]:
+def _linear_evaluator(method: str, limit: Optional[int]) -> Callable[[int, int, int], int]:
     if method == "auto":
         return z_auto
     if method == "oracle":
         return lambda n, k, m: z_oracle(n, k, m, limit=limit)
     if method == "reduce":
         return z_reduce_to_m0
-    recur = z_recur_split if method == "split" else z_recur_firstone
-    return lambda n, k, m: recur(n, k, m, cache)
+    return z_recur_split if method == "split" else z_recur_firstone
 
 
 def _cmd_table(args: argparse.Namespace) -> int:

@@ -61,13 +61,13 @@ class MemoCache(dict):
     """Write-once map from (n, k, m) triples to exact counts.
 
     A recurrence given a cache stores there every cell (n, a, b) of the final
-    layer it computed, so the four z calls of one :func:`s_circular` share a
-    single pass.  Both recurrences use the same keys, so a single cache may be
-    shared between them (and between threads: entries are immutable ints and
-    rewriting an identical value is a no-op).  Rewriting a key with a
-    *different* value raises, so a shared cache turns any disagreement of the
-    two routes on a cell they both wrote into a loud failure instead of a
-    wrong count.
+    layer it computed, so a warm cache answers later queries at the same n
+    without another pass.  Both recurrences use the same keys, so a single
+    cache may be shared between them (and between threads: entries are
+    immutable ints and rewriting an identical value is a no-op).  Rewriting
+    a key with a *different* value raises, so a shared cache turns any
+    disagreement of the two routes on a cell they both wrote into a loud
+    failure instead of a wrong count.
     """
 
     def __setitem__(self, key: tuple[int, int, int], value: int) -> None:
@@ -292,7 +292,8 @@ def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> 
     with roles swapped because the remainder starts with 1.  Evaluated
     bottom-up from the layers n = 1 and 2, keeping two layers of
     (max(k, m) + 1)**2 cells.  A given ``cache`` receives the cells of the
-    final layer and answers later queries at the same n from them.
+    final layer, so once warm it answers later queries at the same n; shared
+    with the other recurrence, it raises where the two routes disagree.
     """
     return _layer_cell(n, k, m, cache, _split_layer)
 
@@ -397,19 +398,25 @@ def z_auto(n: int, k: int, m: int) -> int:
 def s_circular(
     n: int, k: int, m: int, *, z: Callable[[int, int, int], int] = z_auto
 ) -> int:
-    """Number of length-n strings with circular profile (k, m).
+    """Number of length-n strings with circular profile (k, m), from one z.
 
     Zero whenever n + k + m is odd: closing the wraparound slot either adds
     a pair or does not, and both outcomes force n + k + m even via the
-    end-bit parity rule.  Otherwise the count splits over the leading bit
-    and over whether the wraparound slot closes a pair:
-
-        z(n,k,m) + z(n,k-1,m) + z(n,m,k) + z(n,m-1,k)
-
-    where the mirrored arguments account for strings starting with 1 via bit
-    inversion.  ``z`` selects the linear-count route (default: z_auto).
+    end-bit parity rule.  Otherwise a ring that is not constant has r 0-runs
+    and r 1-runs, r = (n-k-m)/2.  Count the pairs (string, position where a
+    0-run starts) two ways: each string has r of them, and rotating a string
+    to start at one gives a string that starts with 0, ends with 1 and so
+    has linear profile (k, m); conversely each of the n rotations of a
+    string counted by z(n, k, m) (it ends with 1, as n + k + m is even) is
+    such a pair.  So r * s(n, k, m) = n * z(n, k, m).  At r = 0 only the
+    constant rings remain: all 0s at (n, 0) and all 1s at (0, n).  ``z``
+    selects the linear-count route (default: z_auto, which makes this
+    n * C(k+r-1, r-1) * C(m+r-1, r-1) / r).
     """
     _check_length(n, circular=True)
-    if (n + k + m) % 2 == 1:
+    r = (n - k - m) // 2
+    if (n + k + m) % 2 == 1 or r < 0:
         return 0
-    return z(n, k, m) + z(n, k - 1, m) + z(n, m, k) + z(n, m - 1, k)
+    if r == 0:
+        return int((k, m) in ((n, 0), (0, n)))
+    return n * z(n, k, m) // r

@@ -124,20 +124,10 @@ def enumerate_terquem(
         raise ValueError(f"k must be >= 0, got {k}")
     if start_parity not in ("odd", "even"):
         raise ValueError(f"start_parity must be 'odd' or 'even', got {start_parity!r}")
-    first = 1 if start_parity == "odd" else 0
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, lo: int, acc: tuple[int, ...]) -> None:
-        if i > k:
-            out.append(acc)
-            return
-        want = (first + i + 1) % 2  # parity required of entry i
-        v = lo + 1
-        if v % 2 != want:
-            v += 1
-        while v <= universe_bound:
-            rec(i + 1, v, acc + (v,))
-            v += 2
-
-    rec(1, 0, ())
-    return out
+    # extend the prefixes in order, so they stay sorted; an entry is 1, 3, 5... above the last
+    first = 1 if start_parity == "odd" else 2
+    seqs: list[tuple[int, ...]] = [()]
+    for i in range(k):
+        stop = universe_bound - k + i + 2  # entry i+1 is at most bound - (k-i-1)
+        seqs = [acc + (v,) for acc in seqs for v in range(acc[-1] + 1 if acc else first, stop, 2)]
+    return seqs

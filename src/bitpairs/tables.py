@@ -47,6 +47,12 @@ def _check_choice(what: str, value: str, options: tuple[str, ...]) -> None:
         raise ValueError(f"unsupported {what}: {value!r} (supported: {', '.join(options)})")
 
 
+def _grid(n: int, mode: str) -> list[tuple[int, int]]:
+    # the (k, m) cells of a table in order: 0..n-1 each when linear, 0..n when circular
+    side = range(n + 1 if mode == "circular" else n)
+    return [(k, m) for k in side for m in side]
+
+
 class ZTable(NamedTuple):
     """Every profile count for one string length, zero cells included.
 
@@ -66,13 +72,9 @@ class ZTable(NamedTuple):
 def z_table(n: int, mode: str = "linear") -> ZTable:
     """All counts for length n in one table, computed by the fast methods."""
     _check_choice("mode", mode, ("linear", "circular"))
-    circular = mode == "circular"
-    _check_length(n, circular)
-    hi, count = (n, s_circular) if circular else (n - 1, z_auto)
-    cells = tuple(
-        (k, m, count(n, k, m)) for k in range(hi + 1) for m in range(hi + 1)
-    )
-    return ZTable(n, mode, cells)
+    _check_length(n, mode == "circular")
+    count = s_circular if mode == "circular" else z_auto
+    return ZTable(n, mode, tuple((k, m, count(n, k, m)) for k, m in _grid(n, mode)))
 
 
 def render_z_table(n: int, mode: str = "linear", fmt: str = "csv") -> str:
@@ -91,8 +93,9 @@ def render_z_table(n: int, mode: str = "linear", fmt: str = "csv") -> str:
 def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
     """Rebuild a ZTable from rendered text (the round-trip inverse).
 
-    The mode is recovered from the cell count: a linear table has n**2
-    cells, a circular one (n+1)**2.
+    The mode is recovered from the cell count, n**2 for a linear table and
+    (n+1)**2 for a circular one, and the records must spell that mode's
+    (k, m) grid in :func:`z_table`'s order: 0..n-1 or 0..n on each side.
     """
     _check_choice("format", fmt, Z_TABLE_FORMATS)
     if fmt == "json":
@@ -108,20 +111,28 @@ def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
         rows = [r for r in csv.reader(io.StringIO(text), delimiter=_SEPARATORS[fmt]) if r]
         if not rows or rows[0] != list(_HEADER):
             raise ValueError("malformed table: missing header")
-        records = [(int(a), int(b), int(c), int(d)) for a, b, c, d in rows[1:]]
+        if any(len(r) != len(_HEADER) for r in rows[1:]):
+            raise ValueError(f"malformed table: rows need exactly {len(_HEADER)} fields")
+        try:
+            records = [tuple(map(int, r)) for r in rows[1:]]
+        except ValueError:
+            raise ValueError("malformed table: fields must be integers") from None
     if not records:
         raise ValueError("malformed table: no records")
     n = records[0][0]
     if any(r[0] != n for r in records):
         raise ValueError("malformed table: inconsistent n")
-    cells = tuple((k, m, c) for _, k, m, c in records)
-    if len(cells) == (n + 1) ** 2:
-        mode = "circular"
-    elif len(cells) == n * n:
-        mode = "linear"
-    else:
-        raise ValueError("malformed table: unexpected cell count")
-    return ZTable(n, mode, cells)
+    if any(r[3] < 0 for r in records):
+        raise ValueError("malformed table: negative count")
+    keys = [(k, m) for _, k, m, _ in records]
+    mode = {n * n: "linear", (n + 1) ** 2: "circular"}.get(len(keys))
+    if mode is None or keys != _grid(n, mode):
+        raise ValueError("malformed table: unexpected cell count or coordinates")
+    try:
+        _check_length(n, mode == "circular")
+    except ValueError as e:
+        raise ValueError(f"malformed table: {e}") from None
+    return ZTable(n, mode, tuple((k, m, c) for _, k, m, c in records))
 
 
 def render_terquem_triangle(rows: int, fmt: str = "csv") -> str:
@@ -239,13 +250,9 @@ def verify_all(
 
     if do_circular:
         for n in range(2, max_n + 1):
-            for k in range(n + 1):
-                for m in range(n + 1):
-                    compare(
-                        n, k, m, "circular",
-                        s_circular(n, k, m),
-                        s_circular_oracle(n, k, m, limit=limit),
-                    )
+            for k, m in _grid(n, "circular"):
+                want = s_circular_oracle(n, k, m, limit=limit)
+                compare(n, k, m, "circular", s_circular(n, k, m), want)
 
     # end-bit parity rule, once per (k, m, whether the first and last bits agree)
     for n in range(1, max_n + 1):

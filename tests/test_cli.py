@@ -8,9 +8,10 @@ import sys
 from pathlib import Path
 
 import bitpairs.cli
+import bitpairs.counting
 import bitpairs.tables
 from bitpairs.cli import run
-from bitpairs.counting import MemoCache, z_auto
+from bitpairs.counting import z_auto
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -93,23 +94,22 @@ class TestCount:
         )
         assert code == 2
 
-    def test_recurrence_cache_only_for_circular(self, capsys, monkeypatch):
-        # a linear query reads one cell; only the four circular terms share a cache
-        built = []
+    def test_recurrence_builds_one_layer(self, capsys, monkeypatch):
+        # a linear or a circular query is one z call, so one layer pass
+        for method, name in (("split", "_split_layer"), ("first-one", "_firstone_layer")):
+            layer, built = getattr(bitpairs.counting, name), []
 
-        class CountingCache(MemoCache):
-            def __init__(self):
-                super().__init__()
-                built.append(self)
+            def counted(n, K, layer=layer, built=built):
+                built.append((n, K))
+                return layer(n, K)
 
-        monkeypatch.setattr(bitpairs.cli, "MemoCache", CountingCache)
-        for method in ("split", "first-one"):
-            args = ("count", "--n", "10", "--k", "2", "--m", "2", "--method", method)
+            monkeypatch.setattr(bitpairs.counting, name, counted)
+            args = ("count", "--n", "10", "--k", "2", "--m", "4", "--method", method)
+            assert invoke(capsys, *args) == (0, "15\n", "")
+            assert built == [(10, 4)]
             built.clear()
-            assert invoke(capsys, *args) == (0, "36\n", "")
-            assert built == []
-            assert invoke(capsys, *args, "--circular")[:2] == (0, "120\n")
-            assert len(built) == 1 and len(built[0]) > 0
+            assert invoke(capsys, *args, "--circular") == (0, "75\n", "")
+            assert built == [(10, 4)]
 
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")

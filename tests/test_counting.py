@@ -333,6 +333,21 @@ class TestCircular:
         assert s_circular(2, 2, 0) == s_circular_oracle(2, 2, 0) == 1
         assert s_circular(2, 0, 0) == s_circular_oracle(2, 0, 0) == 2
 
+    def test_equals_four_term_sum(self):
+        # the former definition: split over the leading bit and whether the
+        # wraparound slot closes a pair, the 1-led strings by bit inversion
+        def four_terms(n, k, m):
+            if (n + k + m) % 2 == 1:
+                return 0
+            return z_auto(n, k, m) + z_auto(n, k - 1, m) + z_auto(n, m, k) + z_auto(n, m - 1, k)
+
+        for n in range(2, 17):
+            for k in range(-1, n + 3):
+                for m in range(-1, n + 3):
+                    assert s_circular(n, k, m) == four_terms(n, k, m), (n, k, m)
+        for n, k, m in [(5000, 1200, 800), (50000, 12000, 8000), (50000, 12001, 8001)]:
+            assert s_circular(n, k, m) == four_terms(n, k, m)
+
     def test_pluggable_evaluator(self):
         cache = MemoCache()
         via_split = s_circular(10, 2, 4, z=lambda n, k, m: z_recur_split(n, k, m, cache))

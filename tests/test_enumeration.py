@@ -159,6 +159,10 @@ class TestEnumerateTerquem:
             assert t[0] % 2 == 0
             assert all((a % 2) != (b % 2) for a, b in zip(t, t[1:]))
 
+    def test_deep_sequence_does_not_recurse(self):
+        assert enumerate_terquem(1200, 1200) == [tuple(range(1, 1201))]
+        assert enumerate_terquem(1201, 1200, "even") == [tuple(range(2, 1202))]
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_terquem(-1, 0)

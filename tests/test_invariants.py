@@ -53,10 +53,26 @@ class TestMethodAgreement:
             assert a == b == c == z_auto(n, k, m)
 
     def test_circular_formula_equals_oracle(self):
+        # r * s(n, k, m) = n * z(n, k, m) holds for whichever route gives z,
+        # and only an even n + k + m with runs left to count reaches z, once
+        routes = (z_auto, z_reduce_to_m0, z_recur_split, z_recur_firstone)
+        calls = []
+
+        def counted_z(*args):
+            calls.append(args)
+            return z_auto(*args)
+
         for n in range(2, 11):
-            for k in range(n + 1):
-                for m in range(n + 1):
-                    assert s_circular(n, k, m) == s_circular_oracle(n, k, m)
+            for k in range(-2, n + 3):
+                for m in range(-2, n + 3):
+                    want = s_circular_oracle(n, k, m)
+                    assert s_circular(n, k, m) == want
+                    for z in routes:
+                        assert s_circular(n, k, m, z=z) == want, (z.__name__, n, k, m)
+                    calls.clear()
+                    assert s_circular(n, k, m, z=counted_z) == want
+                    runs = (n + k + m) % 2 == 0 and n - k - m > 0
+                    assert calls == ([(n, k, m)] if runs else [])
 
 
 class TestRowSums:

@@ -101,6 +101,26 @@ class TestRenderZTable:
         good = render_z_table(3, "linear", "csv")
         with pytest.raises(ValueError, match="unexpected cell count"):
             parse_z_table(good + "3,9,9,0\n", "csv")
+        header = "n,k,m,count\n"
+        for text, why in (
+            (header + "1,5,5,-7\n", "negative count"),
+            (header + "1,0,0,-1\n", "negative count"),
+            (header + "1,0,0\n", "exactly 4 fields"),
+            (header + "1,0,0,1,0\n", "exactly 4 fields"),
+            (header + "1,0,0,x\n", "integers"),
+            (header + "1,5,5,7\n", "unexpected cell"),
+            (header + "100000,0,0,1\n", "unexpected cell"),  # no 10**10-cell grid is built
+            (header + "2,0,0,1\n2,0,0,1\n2,1,0,0\n2,1,1,0\n", "unexpected cell"),  # duplicate
+            (header + "2,0,1,0\n2,0,0,1\n2,1,0,0\n2,1,1,0\n", "unexpected cell"),  # order
+            (header + "0,0,0,1\n", "below length 2"),  # circular n = 0
+            (header + "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,0\n", "below length 2"),
+        ):
+            with pytest.raises(ValueError, match=f"malformed table: .*{why}"):
+                parse_z_table(text, "csv")
+        with pytest.raises(ValueError, match="malformed table: negative count"):
+            parse_z_table('[{"n": 1, "k": 0, "m": 0, "count": -1}]', "json")
+        with pytest.raises(ValueError, match="malformed table: unexpected cell"):
+            parse_z_table('[{"n": 1000000000000, "k": 0, "m": 0, "count": 1}]', "json")
         for text in (
             '[{"n": 1}]',
             "[[1, 0, 0, 1]]",
