@@ -242,7 +242,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SystemExit as e:  # argparse --help

@@ -332,10 +332,10 @@ def terquem_T(n: int, k: int) -> int:
 
 
 def z_closed_m0(n: int, k: int) -> int:
-    """Closed form of the 1-pair-free column: z(n, k, 0) = C(floor((n+k-1)/2), k)."""
-    if n < 1 or k < 0 or k > n - 1:
+    """The 1-pair-free column: z(n, k, 0) = T(n-1, k) = C(floor((n+k-1)/2), k)."""
+    if n < 1 or k < 0:
         return 0
-    return binomial((n + k - 1) // 2, k)
+    return terquem_T(n - 1, k)
 
 
 def z_reduce_to_m0(n: int, k: int, m: int) -> int:
@@ -343,32 +343,32 @@ def z_reduce_to_m0(n: int, k: int, m: int) -> int:
 
     Deleting every run of two or more 1s from a counted string leaves a
     string with no 1-pairs; re-injecting the runs is a weighted choice of
-    injection sites and run lengths.  Summing over the number of deleted
-    runs f gives, per f, C(m-1, f-1) ways to split the m pairs over the f
-    runs, times
+    injection sites and run lengths.  With f deleted runs and C(m-1, f-1)
+    ways to split the m pairs over them, z is the sum over f = 1..m of
+    t_f = C(m-1, f-1) C(k+f, f) z(n-m-f, k+f, 0) for strings not ending in
+    11 plus, when n+k+m is even (the only parity at which a counted string
+    can end in 11), u_f = C(m-1, f-1) C(k+f-1, f-1) z(n-m-f, k+f-1, 0).
 
-        C(k+f, f) * z(n-m-f, k+f, 0)
-
-    for strings not ending in 11, plus, when n+k+m is even (the only parity
-    at which a counted string can end in 11),
-
-        C(k+f-1, f-1) * z(n-m-f, k+f-1, 0).
-
-    One loop over f evaluates both terms.  Every z(., ., 0) value comes from
-    the closed form, so this route runs in O(m) big-int operations.
+    Deleting f runs removes m+f ones and joins their neighbouring 0s into f
+    new 0-pairs (f-1 if the last run ends the string), so length plus 0-pairs
+    is the same for every f and the z values are C(a, k+f) and C(b, k+f-1)
+    on two fixed Pascal rows, a = floor((n-m+k-1)/2), b = floor((n-m+k-2)/2).
+    Hence t_{f+1}/t_f = (a-k-f)(m-f)/(f(f+1)), u_{f+1}/u_f = (b-k-f+1)(m-f)/f^2:
+    two binomials, then O(m) exact small-factor steps; a 0 factor ends a series.
     """
     base = z_base_case(n, k, m)
     if base is not None:
         return base
     if m == 0:
         return z_closed_m0(n, k)
-    ends_in_11 = (n + k + m) % 2 == 0
+    a, b = (n - m + k - 1) // 2, (n - m + k - 2) // 2
+    t = (k + 1) * binomial(a, k + 1)
+    u = binomial(b, k) if (n + k + m) % 2 == 0 else 0
     total = 0
     for f in range(1, m + 1):
-        term = binomial(k + f, f) * z_closed_m0(n - m - f, k + f)
-        if ends_in_11:
-            term += binomial(k + f - 1, f - 1) * z_closed_m0(n - m - f, k + f - 1)
-        total += binomial(m - 1, f - 1) * term
+        total += t + u
+        t = t * (a - k - f) * (m - f) // (f * (f + 1))
+        u = u * (b - k - f + 1) * (m - f) // (f * f)
     return total
 
 

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bitpairs.cli
 import bitpairs.counting
 import bitpairs.tables
@@ -301,6 +303,19 @@ class TestTableAndTriangle:
     def test_bad_format(self, capsys):
         code, _, err = invoke(capsys, "table", "--n", "4", "--format", "xml")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command,target",
+        [(["table", "--n", "3"], "missing/t.csv"), (["triangle", "--rows", "3"], ".")],
+        ids=["missing-directory", "is-a-directory"],
+    )
+    def test_unwritable_out(self, tmp_path, command, target):
+        code, out, err = spawn(
+            [sys.executable, "-m", "bitpairs", *command, "--out", str(tmp_path / target)], tmp_path
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
 
 
 class TestVerify:

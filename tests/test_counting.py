@@ -252,6 +252,43 @@ class TestReduction:
             for k in range(n):
                 assert z_reduce_to_m0(n, k, 0) == z_closed_m0(n, k)
 
+    def test_equals_per_term_sum(self):
+        # the former evaluation: fresh binomials and column values for each f
+        def per_term(n, k, m):
+            base = z_base_case(n, k, m)
+            if base is not None:
+                return base
+            if m == 0:
+                return z_closed_m0(n, k)
+            total = 0
+            for f in range(1, m + 1):
+                term = binomial(k + f, f) * z_closed_m0(n - m - f, k + f)
+                if (n + k + m) % 2 == 0:
+                    term += binomial(k + f - 1, f - 1) * z_closed_m0(n - m - f, k + f - 1)
+                total += binomial(m - 1, f - 1) * term
+            return total
+
+        for n in range(31):
+            for k in range(-2, n + 3):
+                for m in range(-2, n + 3):
+                    assert z_reduce_to_m0(n, k, m) == per_term(n, k, m), (n, k, m)
+
+    def test_two_binomials_per_query(self, monkeypatch):
+        calls = []
+
+        def counting_binomial(a, b):
+            calls.append((a, b))
+            return binomial(a, b)
+
+        def refuse(*args):
+            raise AssertionError("the series must not evaluate column entries")
+
+        expected = z_auto(5000, 1200, 800)
+        monkeypatch.setattr("bitpairs.counting.binomial", counting_binomial)
+        monkeypatch.setattr("bitpairs.counting.z_closed_m0", refuse)
+        assert z_reduce_to_m0(5000, 1200, 800) == expected
+        assert len(calls) <= 2, calls[:5]
+
 
 class TestClosedForm:
     def test_examples(self):
@@ -282,8 +319,8 @@ class TestTriangle:
 
     def test_shifted_closed_form(self):
         for n in range(1, 16):
-            for k in range(n):
-                assert z_closed_m0(n, k) == terquem_T(n - 1, k)
+            for k in range(n + 1):
+                assert terquem_T(n - 1, k) == z_oracle(n, k, 0), (n, k)
 
 
 class TestAuto:
@@ -303,7 +340,9 @@ class TestAuto:
                 for m in range(-1, n + 3):
                     assert z_auto(n, k, m) == z_oracle(n, k, m), (n, k, m)
 
-    @pytest.mark.parametrize("n,k,m", [(2000, 500, 300), (5000, 1200, 800), (20000, 8800, 3)])
+    @pytest.mark.parametrize(
+        "n,k,m", [(2000, 500, 300), (5000, 1200, 800), (20000, 8800, 3), (50000, 12000, 8000)]
+    )
     def test_matches_reduction_at_scale(self, n, k, m):
         assert z_auto(n, k, m) == z_reduce_to_m0(n, k, m)
 
