@@ -2,10 +2,10 @@
 
 Subcommands: count, table, triangle, verify, enumerate, bijection.
 
-Exit status contract: 0 on success, 1 when `verify` finds mismatches, 2 on
-usage or domain errors (reported as one line on stderr).  All output is
-newline-terminated, decimal and locale-free, with every digit of every count
-printed, however many there are.
+Exit status contract: 0 on success and for `--help`, 1 when `verify` finds
+mismatches, 2 on usage or domain errors (reported as one line on stderr).
+All output is newline-terminated, decimal and locale-free, with every digit
+of every count printed, however many there are.
 
 The oracle-backed commands honor the limit on exhaustive-enumeration size:
 the --oracle-limit flag wins over the BITPAIRS_ORACLE_LIMIT environment
@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Optional
+from typing import Optional
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
@@ -44,15 +44,15 @@ ORACLE_LIMIT_ENV = "BITPAIRS_ORACLE_LIMIT"
 
 METHODS = ("auto", "oracle", "split", "first-one", "reduce", "closed")
 
-
-class _UsageError(ValueError):
-    pass
+# the z routes behind --method; s_circular counts the ring from any of them
+_ROUTES = {"auto": z_auto, "split": z_recur_split, "first-one": z_recur_firstone,
+           "reduce": z_reduce_to_m0}
 
 
 class _Parser(argparse.ArgumentParser):
     # one-line diagnostics on stderr instead of argparse's usage dump
     def error(self, message: str) -> None:
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _nonneg(text: str) -> int:
@@ -66,9 +66,8 @@ def _nonneg(text: str) -> int:
 
 
 def _resolve_limit(args: argparse.Namespace) -> Optional[int]:
-    flag = getattr(args, "oracle_limit", None)
-    if flag is not None:
-        return flag
+    if args.oracle_limit is not None:
+        return args.oracle_limit
     env = os.environ.get(ORACLE_LIMIT_ENV)
     if env is None:
         return None
@@ -98,24 +97,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if m != 0:
             raise ValueError("method 'closed' requires m = 0")
         value = z_closed_m0(n, k)
-    elif args.circular and method == "oracle":
-        value = s_circular_oracle(n, k, m, limit=limit)
-    elif args.circular:
-        value = s_circular(n, k, m, z=_linear_evaluator(method, limit))
+    elif method == "oracle":
+        value = (s_circular_oracle if args.circular else z_oracle)(n, k, m, limit=limit)
     else:
-        value = _linear_evaluator(method, limit)(n, k, m)
+        route = _ROUTES[method]
+        value = s_circular(n, k, m, z=route) if args.circular else route(n, k, m)
     print(value)
     return 0
-
-
-def _linear_evaluator(method: str, limit: Optional[int]) -> Callable[[int, int, int], int]:
-    if method == "auto":
-        return z_auto
-    if method == "oracle":
-        return lambda n, k, m: z_oracle(n, k, m, limit=limit)
-    if method == "reduce":
-        return z_reduce_to_m0
-    return z_recur_split if method == "split" else z_recur_firstone
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -136,12 +124,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    limit = _resolve_limit(args)
-    if args.circular:
-        strings = enumerate_circular(args.n, args.k, args.m, limit=limit)
-    else:
-        strings = enumerate_Z(args.n, args.k, args.m, limit=limit)
-    for b in strings:
+    listing = enumerate_circular if args.circular else enumerate_Z
+    for b in listing(args.n, args.k, args.m, limit=_resolve_limit(args)):
         print(b)
     return 0
 
@@ -160,6 +144,8 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
     if args.string is not None:
+        if args.n is not None:
+            raise ValueError("--n applies only to --sequence")
         print(",".join(str(i) for i in to_terquem(args.string)))
         return 0
     if args.n is None:
@@ -245,11 +231,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SystemExit as e:  # argparse --help
-        code = e.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 2
+    except SystemExit:  # only --help exits; every parse error raises ValueError
+        return 0
     finally:
         if set_digits is not None:
             set_digits(old_digits)

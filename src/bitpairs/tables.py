@@ -23,15 +23,14 @@ from .counting import (
     DEFAULT_ORACLE_LIMIT,
     _check_length,
     _firstone_layer,
+    _profile_histogram,
     _profiles,
     _split_layer,
     s_circular,
-    s_circular_oracle,
     terquem_T,
     wrap_parity_predicts_equal_ends,
     z_auto,
     z_closed_m0,
-    z_oracle,
     z_reduce_to_m0,
 )
 
@@ -236,11 +235,12 @@ def verify_all(
 
     if do_linear:
         for n in range(1, max_n + 1):
-            # one whole layer per recurrence, boundary cells included
+            # one whole layer per recurrence and one oracle histogram, boundary cells included
             split, firstone = _split_layer(n, n), _firstone_layer(n, n)
+            oracle = _profile_histogram(n, False)
             for k in range(n + 1):
                 for m in range(n + 1):
-                    want = z_oracle(n, k, m, limit=limit)
+                    want = oracle.get((k, m), 0)
                     compare(n, k, m, "split", split[k][m], want)
                     compare(n, k, m, "first-one", firstone[k][m], want)
                     compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
@@ -250,9 +250,9 @@ def verify_all(
 
     if do_circular:
         for n in range(2, max_n + 1):
+            oracle = _profile_histogram(n, True)
             for k, m in _grid(n, "circular"):
-                want = s_circular_oracle(n, k, m, limit=limit)
-                compare(n, k, m, "circular", s_circular(n, k, m), want)
+                compare(n, k, m, "circular", s_circular(n, k, m), oracle.get((k, m), 0))
 
     # end-bit parity rule, once per (k, m, whether the first and last bits agree)
     for n in range(1, max_n + 1):

@@ -13,7 +13,15 @@ import bitpairs.cli
 import bitpairs.counting
 import bitpairs.tables
 from bitpairs.cli import run
-from bitpairs.counting import z_auto
+from bitpairs.counting import (
+    s_circular,
+    s_circular_oracle,
+    z_auto,
+    z_oracle,
+    z_recur_firstone,
+    z_recur_split,
+    z_reduce_to_m0,
+)
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -31,6 +39,30 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def expected(fn, *args, **kwargs):
+    """(exit code, stdout, stderr) the CLI owes for printing fn(*args, **kwargs)."""
+    try:
+        return 0, f"{fn(*args, **kwargs)}\n", ""
+    except ValueError as e:
+        return 2, "", f"error: {e}\n"
+
+
+# the routes `count --method` names, as the library spells them
+ROUTES = {
+    "auto": z_auto,
+    "split": z_recur_split,
+    "first-one": z_recur_firstone,
+    "reduce": z_reduce_to_m0,
+}
+
+# n = 1 (no ring), k + m >= n - 1 (constant strings and zeros), odd n + k + m
+# (zero rings), and interior cells of both parities
+DISPATCH_POINTS = [
+    (1, 0, 0), (2, 1, 0), (2, 2, 0), (4, 0, 4), (5, 2, 2), (6, 4, 3), (7, 2, 2),
+    (8, 2, 2), (9, 0, 4), (10, 2, 2), (10, 2, 3), (11, 3, 2), (12, 4, 2),
+]
 
 
 def digit_limit():
@@ -61,25 +93,22 @@ class TestCount:
         assert (code, out) == (0, "0\n")
 
     def test_methods_agree_linear(self, capsys):
-        outs = set()
-        for method in ("auto", "oracle", "split", "first-one", "reduce"):
-            code, out, _ = invoke(
-                capsys, "count", "--n", "10", "--k", "2", "--m", "3", "--method", method
-            )
-            assert code == 0
-            outs.add(out)
-        assert len(outs) == 1
+        for n, k, m in DISPATCH_POINTS:
+            argv = ("count", "--n", str(n), "--k", str(k), "--m", str(m), "--method")
+            want = {"oracle": expected(z_oracle, n, k, m)}
+            want.update((name, expected(z, n, k, m)) for name, z in ROUTES.items())
+            assert len(set(want.values())) == 1
+            for method, result in want.items():
+                assert invoke(capsys, *argv, method) == result, (n, k, m, method)
 
     def test_methods_agree_circular(self, capsys):
-        outs = set()
-        for method in ("auto", "oracle", "split", "first-one", "reduce"):
-            code, out, _ = invoke(
-                capsys, "count", "--n", "10", "--k", "2", "--m", "2",
-                "--circular", "--method", method,
-            )
-            assert code == 0
-            outs.add(out)
-        assert len(outs) == 1
+        for n, k, m in DISPATCH_POINTS:
+            argv = ("count", "--n", str(n), "--k", str(k), "--m", str(m), "--circular", "--method")
+            want = {"oracle": expected(s_circular_oracle, n, k, m)}
+            want.update((name, expected(s_circular, n, k, m, z=z)) for name, z in ROUTES.items())
+            assert len(set(want.values())) == 1
+            for method, result in want.items():
+                assert invoke(capsys, *argv, method) == result, (n, k, m, method)
 
     def test_closed_method_on_its_domain(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "10", "--k", "3", "--m", "0", "--method", "closed")
@@ -175,9 +204,11 @@ class TestUsageErrors:
         assert "oracle limit exceeded" in err
 
     def test_help_exits_zero(self, capsys):
-        code, out, _ = invoke(capsys, "--help")
-        assert code == 0
-        assert "count" in out
+        for command in ("", "count", "table", "triangle", "verify", "enumerate", "bijection"):
+            code, out, err = invoke(capsys, *command.split(), "--help")
+            assert (code, err) == (0, ""), command
+            assert out.startswith(f"usage: bitpairs {command}".rstrip()), command
+        assert "count" in invoke(capsys, "--help")[1]
 
 
 class TestOracleLimitPlumbing:
@@ -255,6 +286,10 @@ class TestBijection:
         code, _, err = invoke(capsys, "bijection", "--sequence", "1,2")
         assert code == 2
         assert "--n is required" in err
+
+    def test_n_only_with_sequence(self, capsys):
+        code, out, err = invoke(capsys, "bijection", "--string", "0010", "--n", "7")
+        assert (code, out, err) == (2, "", "error: --n applies only to --sequence\n")
 
     def test_mutually_exclusive(self, capsys):
         code, _, _ = invoke(capsys, "bijection", "--string", "00", "--sequence", "1", "--n", "2")
