@@ -6,21 +6,17 @@ Exit status contract: 0 on success and for `--help`, 1 when `verify` finds
 mismatches, 2 on usage or domain errors (reported as one line on stderr).
 All output is newline-terminated, decimal and locale-free, with every digit
 of every count printed, however many there are.
-
-The oracle-backed commands honor the limit on exhaustive-enumeration size:
-the --oracle-limit flag wins over the BITPAIRS_ORACLE_LIMIT environment
-variable, which wins over the built-in default of 20.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import Optional
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
+    _check_length,
     s_circular,
     s_circular_oracle,
     z_auto,
@@ -39,8 +35,6 @@ from .tables import (
     render_z_table,
     verify_all,
 )
-
-ORACLE_LIMIT_ENV = "BITPAIRS_ORACLE_LIMIT"
 
 METHODS = ("auto", "oracle", "split", "first-one", "reduce", "closed")
 
@@ -65,21 +59,6 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _resolve_limit(args: argparse.Namespace) -> Optional[int]:
-    if args.oracle_limit is not None:
-        return args.oracle_limit
-    env = os.environ.get(ORACLE_LIMIT_ENV)
-    if env is None:
-        return None
-    try:
-        value = int(env)
-    except ValueError:
-        raise ValueError(f"invalid {ORACLE_LIMIT_ENV}: {env!r}") from None
-    if value < 0:
-        raise ValueError(f"invalid {ORACLE_LIMIT_ENV}: {env!r}")
-    return value
-
-
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -89,8 +68,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    limit = _resolve_limit(args)
     n, k, m, method = args.n, args.k, args.m, args.method
+    if not args.circular:
+        _check_length(n, circular=False)
     if method == "closed":
         if args.circular:
             raise ValueError("method 'closed' does not apply to circular adjacency")
@@ -98,7 +78,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise ValueError("method 'closed' requires m = 0")
         value = z_closed_m0(n, k)
     elif method == "oracle":
-        value = (s_circular_oracle if args.circular else z_oracle)(n, k, m, limit=limit)
+        value = (s_circular_oracle if args.circular else z_oracle)(n, k, m, limit=args.oracle_limit)
     else:
         route = _ROUTES[method]
         value = s_circular(n, k, m, z=route) if args.circular else route(n, k, m)
@@ -118,14 +98,14 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify_all(args.max_n, args.mode, limit=_resolve_limit(args))
+    report = verify_all(args.max_n, args.mode, limit=args.oracle_limit)
     print(report.summary())
     return 0 if report.success else 1
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     listing = enumerate_circular if args.circular else enumerate_Z
-    for b in listing(args.n, args.k, args.m, limit=_resolve_limit(args)):
+    for b in listing(args.n, args.k, args.m, limit=args.oracle_limit):
         print(b)
     return 0
 
@@ -166,9 +146,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--oracle-limit",
             type=_nonneg,
-            default=None,
-            help=f"max n for exhaustive enumeration "
-            f"(default {DEFAULT_ORACLE_LIMIT}; env {ORACLE_LIMIT_ENV})",
+            default=DEFAULT_ORACLE_LIMIT,
+            help=f"max n for exhaustive enumeration (default {DEFAULT_ORACLE_LIMIT})",
         )
 
     p = sub.add_parser("count", help="print one exact count")

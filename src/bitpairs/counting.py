@@ -170,11 +170,10 @@ def z_base_case(n: int, k: int, m: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle_n(n: int, circular: bool, limit: Optional[int]) -> None:
+def _check_oracle_n(n: int, circular: bool, limit: int) -> None:
     _check_length(n, circular)
-    lim = DEFAULT_ORACLE_LIMIT if limit is None else limit
-    if n > lim:
-        raise ValueError(f"oracle limit exceeded: n={n} > {lim}")
+    if n > limit:
+        raise ValueError(f"oracle limit exceeded: n={n} > {limit}")
 
 
 def _profiles(n: int, strings: int, circular: bool) -> Iterator[tuple[int, int, int]]:
@@ -199,7 +198,7 @@ def _profile_histogram(n: int, circular: bool) -> dict[tuple[int, int], int]:
     return dict(Counter((k, m) for _, k, m in _profiles(n, strings, circular)))
 
 
-def z_oracle(n: int, k: int, m: int, *, limit: Optional[int] = None) -> int:
+def z_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """z(n, k, m) by scanning every length-n string that starts with 0.
 
     Ground truth for the formula-based routes.  One pass reads each string's
@@ -212,7 +211,7 @@ def z_oracle(n: int, k: int, m: int, *, limit: Optional[int] = None) -> int:
     return _profile_histogram(n, False).get((k, m), 0)
 
 
-def s_circular_oracle(n: int, k: int, m: int, *, limit: Optional[int] = None) -> int:
+def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """Circular-adjacency count by scanning all 2**n length-n strings."""
     _check_oracle_n(n, True, limit)
     return _profile_histogram(n, True).get((k, m), 0)

@@ -8,9 +8,9 @@ sequences (the sequences counted by the A046854 triangle).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .counting import _check_length, _check_oracle_n, _profiles, _require_bits
+from .counting import DEFAULT_ORACLE_LIMIT, _check_length, _check_oracle_n, _profiles, _require_bits
 
 _INVERT = str.maketrans("01", "10")
 
@@ -21,9 +21,7 @@ def invert_bits(b: str) -> str:
     return b.translate(_INVERT)
 
 
-def enumerate_Z(
-    n: int, k: int, m: int, *, limit: Optional[int] = None
-) -> list[str]:
+def enumerate_Z(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
     """All length-n strings starting with 0 with linear profile (k, m).
 
     Lexicographic order; exhaustive scan of 2**(n-1) candidates, so the
@@ -34,9 +32,7 @@ def enumerate_Z(
     return [format(v, width) for v, a, b in _profiles(n, 1 << (n - 1), False) if (a, b) == (k, m)]
 
 
-def enumerate_circular(
-    n: int, k: int, m: int, *, limit: Optional[int] = None
-) -> list[str]:
+def enumerate_circular(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
     """All length-n strings (either leading bit) with circular profile (k, m).
 
     Lexicographic order; scans all 2**n candidates, so the oracle limit

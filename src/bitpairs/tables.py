@@ -17,11 +17,12 @@ import csv
 import io
 import json
 import time
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
     _check_length,
+    _check_oracle_n,
     _firstone_layer,
     _profile_histogram,
     _profiles,
@@ -196,7 +197,7 @@ class VerifyReport(NamedTuple):
 
 
 def verify_all(
-    max_n: int, mode: str = "both", *, limit: Optional[int] = None
+    max_n: int, mode: str = "both", *, limit: int = DEFAULT_ORACLE_LIMIT
 ) -> VerifyReport:
     """Compare every counting route against the oracles up to max_n.
 
@@ -210,9 +211,7 @@ def verify_all(
     _check_choice("mode", mode, VERIFY_MODES)
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    lim = DEFAULT_ORACLE_LIMIT if limit is None else limit
-    if max_n > lim:
-        raise ValueError(f"oracle limit exceeded: max_n={max_n} > {lim}")
+    _check_oracle_n(max_n, False, limit)
 
     start = time.perf_counter()
     mismatches: list[Mismatch] = []

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 import bitpairs.cli
 import bitpairs.counting
 import bitpairs.tables
-from bitpairs.cli import run
+from bitpairs.cli import METHODS, run
 from bitpairs.counting import (
     s_circular,
     s_circular_oracle,
@@ -39,6 +40,12 @@ def invoke(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def mask_elapsed(result):
+    """An invoke() result with verify's wall-clock time blanked out."""
+    code, out, err = result
+    return code, re.sub(r"elapsed=\S+", "elapsed=...", out), err
 
 
 def expected(fn, *args, **kwargs):
@@ -124,6 +131,18 @@ class TestCount:
             capsys, "count", "--n", "10", "--k", "3", "--m", "0", "--circular", "--method", "closed"
         )
         assert code == 2
+
+    def test_linear_n_zero_refused(self, capsys):
+        # every linear method refuses n = 0, ahead of closed's m = 0 rule
+        refusal = (2, "", "error: n must be >= 1, got 0\n")
+        for method in METHODS:
+            for k, m in ((0, 0), (1, 0), (0, 1), (2, 3)):
+                argv = ("count", "--n", "0", "--k", str(k), "--m", str(m), "--method", method)
+                assert invoke(capsys, *argv) == refusal, (k, m, method)
+        for n in ("0", "1"):
+            code, _, err = invoke(capsys, "count", "--n", n, "--k", "0", "--m", "0",
+                                  "--circular", "--method", "closed")
+            assert (code, err) == (2, "error: method 'closed' does not apply to circular adjacency\n")
 
     def test_recurrence_builds_one_layer(self, capsys, monkeypatch):
         # a linear or a circular query is one z call, so one layer pass
@@ -221,25 +240,25 @@ class TestOracleLimitPlumbing:
         _, fast, _ = invoke(capsys, "count", "--n", "21", "--k", "2", "--m", "2")
         assert out == fast
 
-    def test_env_raises_limit(self, capsys, monkeypatch):
-        monkeypatch.setenv("BITPAIRS_ORACLE_LIMIT", "21")
-        code, out, _ = invoke(capsys, "count", "--n", "21", "--k", "2", "--m", "2", "--method", "oracle")
-        assert code == 0
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        cases = [
+            ("count", "--n", "12", "--k", "2", "--m", "2", "--method", "oracle"),
+            ("count", "--n", "21", "--k", "2", "--m", "2", "--method", "oracle"),
+            ("verify", "--max-n", "6"),
+            ("enumerate", "--n", "8", "--k", "2", "--m", "1"),
+        ]
+        monkeypatch.delenv("BITPAIRS_ORACLE_LIMIT", raising=False)
+        unset = [mask_elapsed(invoke(capsys, *argv)) for argv in cases]
+        for value in ("many", "21", "3"):
+            monkeypatch.setenv("BITPAIRS_ORACLE_LIMIT", value)
+            assert [mask_elapsed(invoke(capsys, *argv)) for argv in cases] == unset, value
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BITPAIRS_ORACLE_LIMIT", "30")
-        code, _, err = invoke(
-            capsys, "count", "--n", "25", "--k", "2", "--m", "2",
-            "--method", "oracle", "--oracle-limit", "10",
-        )
-        assert code == 2
-        assert "oracle limit exceeded" in err
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("BITPAIRS_ORACLE_LIMIT", "many")
-        code, _, err = invoke(capsys, "count", "--n", "8", "--k", "1", "--m", "1", "--method", "oracle")
-        assert code == 2
-        assert "BITPAIRS_ORACLE_LIMIT" in err
+    def test_verify_error_matches_count(self, capsys):
+        line = "error: oracle limit exceeded: n=9 > 8\n"
+        verify = invoke(capsys, "verify", "--max-n", "9", "--oracle-limit", "8")
+        count = invoke(capsys, "count", "--n", "9", "--k", "0", "--m", "0", "--method", "oracle",
+                       "--oracle-limit", "8")
+        assert verify == count == (2, "", line)
 
 
 class TestEnumerate:

@@ -190,7 +190,7 @@ class TestVerifyAll:
     def test_domain_errors(self):
         with pytest.raises(ValueError, match="max_n must be >= 2"):
             verify_all(1)
-        with pytest.raises(ValueError, match="oracle limit exceeded"):
+        with pytest.raises(ValueError, match="^oracle limit exceeded: n=25 > 20$"):
             verify_all(25)
         with pytest.raises(ValueError, match="unsupported mode"):
             verify_all(6, "sideways")
