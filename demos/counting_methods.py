@@ -37,7 +37,7 @@ print()
 n, k, m = 12, 3, 2
 routes = [
     ("oracle (enumerate 2^11 strings)", lambda: z_oracle(n, k, m)),
-    ("leading-bit recurrence", lambda: z_recur_split(n, k, m)),
+    ("last-bit recurrence", lambda: z_recur_split(n, k, m)),
     ("first-1-position recurrence", lambda: z_recur_firstone(n, k, m)),
     ("reduction to the m=0 column", lambda: z_reduce_to_m0(n, k, m)),
     ("runs count, two binomials", lambda: z_auto(n, k, m)),
@@ -60,8 +60,9 @@ print(f"  z(500,120,80) has {len(str(big))} digits ({dt * 1000:.1f} ms)")
 print(f"  = {big}")
 print()
 
-print("Both recurrences run bottom-up over n on a grid of (max(k,m)+1)^2")
-print("cells, so their memory stays bounded whatever n is.  An optional")
+print("Both recurrences run bottom-up over n, split on a grid of (k+1)(m+1)")
+print("cells and first-one, which swaps the roles of k and m, on (max(k,m)+1)^2,")
+print("so their memory stays bounded whatever n is.  An optional")
 print("write-once MemoCache receives the final layer, so a warm cache answers")
 print("later queries at the same n without another pass, and a cache shared by")
 print("both recurrences raises if they ever disagree on a cell both wrote:")
@@ -71,5 +72,5 @@ print(f"  z(60,10,8) = {first} (split, one layer), cache holds {len(shared)} ent
 again = z_recur_split(60, 3, 5, shared)
 print(f"  z(60,3,5) = {again} (read off that layer), cache holds {len(shared)} entries")
 wide = z_recur_firstone(60, 12, 8, shared)
-print(f"  z(60,12,8) = {wide} (first-one, a wider layer whose 121 shared cells")
-print(f"  agreed with split's), cache holds {len(shared)} entries")
+print(f"  z(60,12,8) = {wide} (first-one, a wider layer that agreed with split's")
+print(f"  on every cell both wrote), cache holds {len(shared)} entries")

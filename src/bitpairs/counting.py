@@ -14,7 +14,7 @@ z is computed by six independent routes that the test-suite cross-checks
 against each other:
 
 * :func:`z_oracle` -- exhaustive scan of every string, the ground truth;
-* :func:`z_recur_split` -- recurrence on the leading bits;
+* :func:`z_recur_split` -- recurrence on the last bit;
 * :func:`z_recur_firstone` -- recurrence on the first-1 position;
 * :func:`z_reduce_to_m0` -- reduction to the m = 0 column;
 * :func:`z_closed_m0` -- closed form for that column;
@@ -26,8 +26,9 @@ one scan that reads each string's pair counts off the bits of its index with
 :func:`circular_pair_counts` remain the string-level definitions it is tested
 against.
 
-The two recurrences run bottom-up over n on a square (k, m) grid, so their
-memory is bounded by a few grids of (max(k, m) + 1)**2 cells whatever n is.
+The two recurrences run bottom-up over n, so their memory is bounded by a
+few grids whatever n is: (k + 1) x (m + 1) cells for the split, and
+(max(k, m) + 1)**2 for the first-one sum, which swaps the roles of k and m.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  Every function is a pure function of its arguments; the
@@ -221,46 +222,43 @@ def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIM
 # Routes 2 and 3: the recurrences, evaluated bottom-up over n
 # ---------------------------------------------------------------------------
 #
-# Both recurrences read z at a smaller length with the roles of k and m
-# possibly swapped, so the square grid 0 <= k, m <= K of one length is
-# computed from square grids of the same size at smaller lengths.  Each
-# route sweeps n upwards and keeps only the layers its recurrence reads.
+# Both recurrences sweep n upwards and keep only the layers they read.  The
+# split appends one bit at a time, so its grid is the (k+1) x (m+1)
+# rectangle of the query; the first-one sum reads a smaller length with the
+# roles of k and m swapped, so its grid is the square 0 <= k, m <= max(k, m).
 
 
-def _grid(size: int, cell: Callable[[int, int], int]) -> list[list[int]]:
-    return [[cell(a, b) for b in range(size)] for a in range(size)]
+def _split_layer(n: int, k: int, m: int) -> list[list[int]]:
+    """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the last-bit split, n >= 1.
+
+    end0[a][b] and end1[a][b] count the strings of the current length that
+    start with 0, have profile (a, b) and end in 0 or in 1.  Appending a 0
+    gives end0'[a] = end0[a-1] + end1[a]; appending a 1 gives
+    end1'[a][b] = end0[a][b] + end1[a][b-1].
+    """
+    zero = [0] * (m + 1)
+    end0 = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]  # n = 1: "0"
+    end1 = [zero] * (k + 1)
+    for _ in range(n - 1):
+        end0, end1 = (
+            [list(map(add, up0, row1)) for up0, row1 in zip([zero, *end0], end1)],
+            [list(map(add, row0, (0, *row1[:-1]))) for row0, row1 in zip(end0, end1)],
+        )
+    return [list(map(add, row0, row1)) for row0, row1 in zip(end0, end1)]
 
 
-def _split_layer(n: int, K: int) -> list[list[int]]:
-    """z(n, k, m) for 0 <= k, m <= K by the leading-bit split, n >= 1."""
-    size = K + 1
-    older = _grid(size, lambda a, b: int(a == b == 0))  # n = 1: "0"
-    if n == 1:
-        return older
-    old = _grid(size, lambda a, b: int(a <= 1 and b == 0))  # n = 2: "01", "00"
-    zero = [0] * size
-    for _ in range(3, n + 1):
-        flip = list(zip(*older))  # flip[k][m] = older[m][k]
-        new = [
-            list(map(add, map(add, old[k - 1] if k else zero, older[k]), (0, *flip[k][:-1])))
-            for k in range(size)
-        ]
-        older, old = old, new
-    return old
-
-
-def _firstone_layer(n: int, K: int) -> list[list[int]]:
-    """z(n, k, m) for 0 <= k, m <= K by the first-1 position sum, n >= 1.
+def _firstone_layer(n: int, k: int, m: int) -> list[list[int]]:
+    """z(n, a, b) for 0 <= a, b <= max(k, m) by the first-1 position sum, n >= 1.
 
     q[a][t] holds the diagonal sum of z(L - i, a, t - i) over i = 0..t at
     the current length L, so z(n, k, m), the sum over f = 1..k+1 of
     z(n-f, m, k+1-f), is q[m][k] at L = n - 1, plus 1 for the all-zeros
     string when k = n - 1 and m = 0.
     """
-    size = K + 1
-    q = z = _grid(size, lambda a, b: 0)  # L = 0: no strings
+    K = max(k, m)
+    q = z = [[0] * (K + 1)] * (K + 1)  # L = 0: no strings
     for length in range(1, n + 1):
-        q = [list(map(add, (0, *q[a][:-1]), z[a])) for a in range(size)]  # L = length - 1
+        q = [list(map(add, (0, *row[:-1]), zrow)) for row, zrow in zip(q, z)]  # L = length - 1
         z = [list(row) for row in zip(*q)]  # z[k][m] = q[m][k]
         if length - 1 <= K:
             z[length - 1][0] += 1
@@ -269,30 +267,32 @@ def _firstone_layer(n: int, K: int) -> list[list[int]]:
 
 def _layer_cell(
     n: int, k: int, m: int, cache: Optional[MemoCache],
-    layer: Callable[[int, int], list[list[int]]],
+    layer: Callable[[int, int, int], list[list[int]]],
 ) -> int:
     base = z_base_case(n, k, m)
     if base is not None:
         return base
     if cache is None:
-        return layer(n, max(k, m))[k][m]
+        return layer(n, k, m)[k][m]
     if (n, k, m) not in cache:
-        for a, row in enumerate(layer(n, max(k, m))):
+        for a, row in enumerate(layer(n, k, m)):
             for b, v in enumerate(row):
                 cache[n, a, b] = v
     return cache[n, k, m]
 
 
 def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
-    """z via the leading-bit case split.
+    """z via the last-bit case split (transfer matrices, Stanley *EC1* §4.7).
 
-    A counted string starts with 00, 010 or 011; chopping the fixed prefix
-    gives z(n,k,m) = z(n-1,k-1,m) + z(n-2,k,m) + z(n-2,m-1,k), the last term
-    with roles swapped because the remainder starts with 1.  Evaluated
-    bottom-up from the layers n = 1 and 2, keeping two layers of
-    (max(k, m) + 1)**2 cells.  A given ``cache`` receives the cells of the
-    final layer, so once warm it answers later queries at the same n; shared
-    with the other recurrence, it raises where the two routes disagree.
+    A counted string of length n >= 2 is a shorter one with a bit appended.
+    A 0 adds a 0-pair exactly when the shorter string ends in 0, and a 1 adds
+    a 1-pair exactly when it ends in 1, so with z0 and z1 counting by last
+    bit, z0(n,k,m) = z0(n-1,k-1,m) + z1(n-1,k,m), z1(n,k,m) = z0(n-1,k,m) +
+    z1(n-1,k,m-1) and z = z0 + z1.  Evaluated bottom-up from "0" at n = 1;
+    no step swaps k and m, so each layer is (k + 1) x (m + 1) cells.  A given
+    ``cache`` receives the cells of the final layer, so once warm it answers
+    later queries at the same n; shared with the other recurrence, it raises
+    where the two routes disagree.
     """
     return _layer_cell(n, k, m, cache, _split_layer)
 

@@ -235,7 +235,7 @@ def verify_all(
     if do_linear:
         for n in range(1, max_n + 1):
             # one whole layer per recurrence and one oracle histogram, boundary cells included
-            split, firstone = _split_layer(n, n), _firstone_layer(n, n)
+            split, firstone = _split_layer(n, n, n), _firstone_layer(n, n, n)
             oracle = _profile_histogram(n, False)
             for k in range(n + 1):
                 for m in range(n + 1):

@@ -149,17 +149,17 @@ class TestCount:
         for method, name in (("split", "_split_layer"), ("first-one", "_firstone_layer")):
             layer, built = getattr(bitpairs.counting, name), []
 
-            def counted(n, K, layer=layer, built=built):
-                built.append((n, K))
-                return layer(n, K)
+            def counted(n, k, m, layer=layer, built=built):
+                built.append((n, k, m))
+                return layer(n, k, m)
 
             monkeypatch.setattr(bitpairs.counting, name, counted)
             args = ("count", "--n", "10", "--k", "2", "--m", "4", "--method", method)
             assert invoke(capsys, *args) == (0, "15\n", "")
-            assert built == [(10, 4)]
+            assert built == [(10, 2, 4)]
             built.clear()
             assert invoke(capsys, *args, "--circular") == (0, "75\n", "")
-            assert built == [(10, 4)]
+            assert built == [(10, 2, 4)]
 
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")

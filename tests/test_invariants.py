@@ -195,11 +195,11 @@ class TestMemoSoundness:
         shared = MemoCache()
         warm_split = MemoCache()
         warm_first = MemoCache()
-        # a cache keeps whole layers, so warm each target's length with the
-        # widest query at that length; the targets then read cached cells
-        for n, _, _ in targets:
-            z_recur_split(n, n - 2, 0, warm_split)
-            z_recur_firstone(n, n - 2, 0, warm_first)
+        # a cache keeps whole layers, so warm each target's length with a
+        # wider query whose rectangle covers it; the targets then read cached cells
+        for n, _, m in targets:
+            z_recur_split(n, n - 2 - m, m, warm_split)
+            z_recur_firstone(n, n - 2 - m, m, warm_first)
         for n, k, m in targets:
             assert (n, k, m) in warm_split and (n, k, m) in warm_first
             want = z_oracle(n, k, m)
