@@ -60,9 +60,8 @@ print(f"  z(500,120,80) has {len(str(big))} digits ({dt * 1000:.1f} ms)")
 print(f"  = {big}")
 print()
 
-print("Both recurrences run bottom-up over n, split on a grid of (k+1)(m+1)")
-print("cells and first-one, which swaps the roles of k and m, on (max(k,m)+1)^2,")
-print("so their memory stays bounded whatever n is.  An optional")
+print("Both recurrences run bottom-up over n on grids of the query's (k+1)(m+1)")
+print("cells, so their memory stays bounded whatever n is.  An optional")
 print("write-once MemoCache receives the final layer, so a warm cache answers")
 print("later queries at the same n without another pass, and a cache shared by")
 print("both recurrences raises if they ever disagree on a cell both wrote:")

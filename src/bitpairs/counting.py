@@ -26,9 +26,8 @@ one scan that reads each string's pair counts off the bits of its index with
 :func:`circular_pair_counts` remain the string-level definitions it is tested
 against.
 
-The two recurrences run bottom-up over n, so their memory is bounded by a
-few grids whatever n is: (k + 1) x (m + 1) cells for the split, and
-(max(k, m) + 1)**2 for the first-one sum, which swaps the roles of k and m.
+The two recurrences run bottom-up over n on two grids of the query's
+(k + 1) x (m + 1) cells, so their memory is bounded whatever n is.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  Every function is a pure function of its arguments; the
@@ -221,11 +220,6 @@ def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIM
 # ---------------------------------------------------------------------------
 # Routes 2 and 3: the recurrences, evaluated bottom-up over n
 # ---------------------------------------------------------------------------
-#
-# Both recurrences sweep n upwards and keep only the layers they read.  The
-# split appends one bit at a time, so its grid is the (k+1) x (m+1)
-# rectangle of the query; the first-one sum reads a smaller length with the
-# roles of k and m swapped, so its grid is the square 0 <= k, m <= max(k, m).
 
 
 def _split_layer(n: int, k: int, m: int) -> list[list[int]]:
@@ -248,21 +242,23 @@ def _split_layer(n: int, k: int, m: int) -> list[list[int]]:
 
 
 def _firstone_layer(n: int, k: int, m: int) -> list[list[int]]:
-    """z(n, a, b) for 0 <= a, b <= max(k, m) by the first-1 position sum, n >= 1.
+    """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the first-1 position sum, n >= 1.
 
-    q[a][t] holds the diagonal sum of z(L - i, a, t - i) over i = 0..t at
-    the current length L, so z(n, k, m), the sum over f = 1..k+1 of
-    z(n-f, m, k+1-f), is q[m][k] at L = n - 1, plus 1 for the all-zeros
-    string when k = n - 1 and m = 0.
+    w(L, a, b) = z(L, b, a) counts the length-L strings that start with 1, by
+    complement.  At length L, p[a][b] is the diagonal sum of w(L-i, a-i, b)
+    over i >= 0, which is z(L+1, a, b): i+1 leading 0s, then a string that
+    starts with 1 or is empty.  Likewise q[a][b], the diagonal sum of
+    z(L-i, a, b-i), is w(L+1, a, b).  So p' = q + p shifted one in a and
+    q' = p + q shifted one in b; the empty string seeds both at L = 0.
     """
-    K = max(k, m)
-    q = z = [[0] * (K + 1)] * (K + 1)  # L = 0: no strings
-    for length in range(1, n + 1):
-        q = [list(map(add, (0, *row[:-1]), zrow)) for row, zrow in zip(q, z)]  # L = length - 1
-        z = [list(row) for row in zip(*q)]  # z[k][m] = q[m][k]
-        if length - 1 <= K:
-            z[length - 1][0] += 1
-    return z
+    zero = [0] * (m + 1)
+    p = q = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
+    for _ in range(n - 1):
+        p, q = (
+            [list(map(add, qrow, up)) for qrow, up in zip(q, [zero, *p])],
+            [list(map(add, prow, (0, *qrow[:-1]))) for prow, qrow in zip(p, q)],
+        )
+    return p
 
 
 def _layer_cell(
@@ -288,11 +284,10 @@ def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> 
     A 0 adds a 0-pair exactly when the shorter string ends in 0, and a 1 adds
     a 1-pair exactly when it ends in 1, so with z0 and z1 counting by last
     bit, z0(n,k,m) = z0(n-1,k-1,m) + z1(n-1,k,m), z1(n,k,m) = z0(n-1,k,m) +
-    z1(n-1,k,m-1) and z = z0 + z1.  Evaluated bottom-up from "0" at n = 1;
-    no step swaps k and m, so each layer is (k + 1) x (m + 1) cells.  A given
-    ``cache`` receives the cells of the final layer, so once warm it answers
-    later queries at the same n; shared with the other recurrence, it raises
-    where the two routes disagree.
+    z1(n-1,k,m-1) and z = z0 + z1.  Evaluated bottom-up from "0" at n = 1.
+    A given ``cache`` receives the cells of the final layer, so once warm it
+    answers later queries at the same n; shared with the other recurrence, it
+    raises where the two routes disagree.
     """
     return _layer_cell(n, k, m, cache, _split_layer)
 
@@ -305,10 +300,10 @@ def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) 
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
     the pair roles swapped.
 
-    Writing j = k+1-f, the terms z(n-k-1+j, m, j) lie on one diagonal of the
-    lower layers, so a running sum along each diagonal, carried bottom-up
-    from n = 1, holds every such sum term by term.  ``cache`` works as for
-    :func:`z_recur_split`.
+    Each term is w(n-f, k+1-f, m), w counting the strings that start with 1,
+    so the terms lie on one diagonal of the lower layers; running sums along
+    the diagonals, carried bottom-up from the empty string, hold every such
+    sum term by term.  ``cache`` works as for :func:`z_recur_split`.
     """
     return _layer_cell(n, k, m, cache, _firstone_layer)
 

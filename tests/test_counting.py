@@ -23,7 +23,7 @@ from bitpairs import (
     z_recur_split,
     z_reduce_to_m0,
 )
-from bitpairs.counting import _profiles, _split_layer
+from bitpairs.counting import _firstone_layer, _profiles, _split_layer
 
 
 class TestBinomial:
@@ -172,12 +172,13 @@ class TestRecurrences:
     def test_deep_arguments_do_not_hit_recursion_limit(self):
         assert z_recur_split(400, 1, 1) == z_recur_firstone(400, 1, 1)
 
-    def test_split_layer_equals_oracle_on_rectangles(self):
+    @pytest.mark.parametrize("layer_of", [_split_layer, _firstone_layer])
+    def test_layer_equals_oracle_on_rectangles(self, layer_of):
         # every cell of the layer, not only the queried corner, on shapes
         # with k > m, k < m and both beyond the k + m < n interior
         for n in range(1, 15):
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
-                layer = _split_layer(n, k, m)
+                layer = layer_of(n, k, m)
                 assert [len(row) for row in layer] == [m + 1] * (k + 1), (n, k, m)
                 for a in range(k + 1):
                     for b in range(m + 1):
@@ -187,11 +188,11 @@ class TestRecurrences:
         "recur,n,k,m,bound",
         [
             # a few layers of ints below 2**300, whatever n is: 71 x 51 cells
-            # for split, 71 x 71 for first-one
             pytest.param(z_recur_split, 300, 70, 50, 32 * 2**20, id="z_recur_split"),
             pytest.param(z_recur_firstone, 300, 70, 50, 32 * 2**20, id="z_recur_firstone"),
-            # skewed: split keeps 151 x 2 cells, not a 151 x 151 square
+            # skewed: each keeps 151 x 2 cells, not a 151 x 151 square
             pytest.param(z_recur_split, 400, 150, 1, 4 * 2**10 * 151 * 2, id="z_recur_split-skewed"),
+            pytest.param(z_recur_firstone, 400, 150, 1, 4 * 2**10 * 151 * 2, id="z_recur_firstone-skewed"),
         ],
     )
     def test_memory_bounded(self, recur, n, k, m, bound):
@@ -234,9 +235,7 @@ class TestMemoCache:
         recur(n, k, m, cache)
         assert cache
         assert {key[0] for key in cache} == {n}
-        # split's grid is the query's rectangle, first-one's the square it swaps within
-        bound = (k + 1) * (m + 1) if recur is z_recur_split else (max(k, m) + 1) ** 2
-        assert len(cache) <= bound
+        assert len(cache) <= (k + 1) * (m + 1)
 
     def test_base_cases_leave_cache_empty(self):
         cache = MemoCache()
@@ -250,7 +249,7 @@ class TestMemoCache:
         cache = MemoCache()
         got = s_circular(20, 5, 3, z=lambda n, k, m: recur(n, k, m, cache))
         assert got == s_circular(20, 5, 3)
-        assert len(cache) == (6 * 4 if recur is z_recur_split else 6 * 6)
+        assert len(cache) == 6 * 4
 
     def test_shared_cache_raises_when_routes_disagree(self):
         # a wrong cell outside the first query's layer, as a faulty route
