@@ -6,12 +6,17 @@ Exit status contract: 0 on success and for `--help`, 1 when `verify` finds
 mismatches, 2 on usage or domain errors (reported as one line on stderr).
 All output is newline-terminated, decimal and locale-free, with every digit
 of every count printed, however many there are.
+
+The parser is built once per process, on the first call of `run`, and
+reused: argparse keeps no parse state on it, so no call sees another's
+arguments, and importing this module builds nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import Optional
 
 from .counting import (
@@ -196,8 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     # Counts are exact at any size, so lift CPython's cap on int <-> decimal
     # conversion (4300 digits by default, where it exists) for this command only.
     set_digits = getattr(sys, "set_int_max_str_digits", None)

@@ -230,6 +230,55 @@ class TestUsageErrors:
         assert "count" in invoke(capsys, "--help")[1]
 
 
+class TestParserReuse:
+    """One parser serves every call in a process; no call sees another's."""
+
+    SEQUENCE = [
+        ("count", "--n", "8", "--k", "2", "--m", "2", "--circular"),
+        ("count", "--n", "8", "--k", "2"),
+        ("count", "--n", "8", "--k", "2", "--m", "2", "--method", "bogus"),
+        ("bijection", "--string", "0010", "--sequence", "1,3"),
+        ("count", "--n", "0", "--k", "0", "--m", "0"),
+        ("--help",),
+        ("count", "--n", "8", "--k", "2", "--m", "2", "--circular"),
+    ]
+
+    def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
+        alone = []
+        for argv in self.SEQUENCE:
+            bitpairs.cli._parser.cache_clear()
+            alone.append(invoke(capsys, *argv))
+        assert [code for code, _, _ in alone] == [0, 2, 2, 2, 2, 0, 0]
+
+        builds = []
+        build = bitpairs.cli.build_parser
+
+        def counting_build():
+            builds.append(1)
+            return build()
+
+        bitpairs.cli._parser.cache_clear()
+        monkeypatch.setattr(bitpairs.cli, "build_parser", counting_build)
+        set_digits = getattr(sys, "set_int_max_str_digits", None)
+        before = digit_limit()
+        if set_digits is not None:
+            set_digits(4321)  # a limit no default has, so a restore must be real
+        try:
+            for argv, want in zip(self.SEQUENCE, alone):
+                limit = digit_limit()
+                assert invoke(capsys, *argv) == want, argv
+                assert digit_limit() == limit, argv
+        finally:
+            if set_digits is not None:
+                set_digits(before)
+            bitpairs.cli._parser.cache_clear()
+        assert len(builds) == 1
+
+    def test_import_builds_no_parser(self, tmp_path):
+        probe = "import bitpairs.cli as c; print(c._parser.cache_info().currsize)"
+        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "0\n", "")
+
+
 class TestOracleLimitPlumbing:
     def test_flag_raises_limit(self, capsys):
         code, out, _ = invoke(

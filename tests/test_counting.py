@@ -1,9 +1,14 @@
 """Unit tests for the counting routes and their shared base-case layer."""
 
+import math
+import random
+import sys
+import threading
 import tracemalloc
 
 import pytest
 
+import bitpairs.counting
 from bitpairs import (
     MemoCache,
     PairProfile,
@@ -23,7 +28,13 @@ from bitpairs import (
     z_recur_split,
     z_reduce_to_m0,
 )
-from bitpairs.counting import _firstone_layer, _profiles, _split_layer
+from bitpairs.counting import (
+    _COMB_CUTOFF,
+    _firstone_layer,
+    _prime_power_binomial,
+    _profiles,
+    _split_layer,
+)
 
 
 class TestBinomial:
@@ -39,6 +50,81 @@ class TestBinomial:
         for a in range(1, 12):
             for b in range(a + 1):
                 assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
+
+
+class TestPrimePowerKernel:
+    """The kernel behind binomial above the cut-off, called directly."""
+
+    def test_every_b_up_to_400(self):
+        for a in range(401):
+            for b in range(a + 1):
+                assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
+
+    def test_seeded_large(self):
+        rng = random.Random(20261018)
+        primes = [59999, 32749, 7919]
+        powers = [2**15, 3**10, 7**5, 211**2, 31**3]
+        tops = primes + powers + [rng.randint(401, 60000) for _ in range(30)]
+        for a in tops:
+            for b in (0, 1, a // 2, a - 1, a, rng.randint(0, a), rng.randint(0, a // 50)):
+                assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
+
+    def test_any_sieve_growth_order(self, monkeypatch):
+        monkeypatch.setattr(bitpairs.counting, "_sieve", bytearray(2))
+        # a smaller a reuses the table; a larger one at least doubles it
+        lengths = []
+        for a in (5000, 300, 9001, 9002, 40000):
+            for b in (1, a // 3, a // 2):
+                assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
+            lengths.append(len(bitpairs.counting._sieve))
+        assert lengths == [5001, 5001, 10002, 10002, 40001]
+        sieve = bitpairs.counting._sieve
+        assert [p for p in range(1000) if sieve[p]] == [
+            p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))
+        ]
+
+    def test_threads_share_the_sieve(self, monkeypatch):
+        monkeypatch.setattr(bitpairs.counting, "_sieve", bytearray(2))
+        tops = [400 * i + 401 for i in range(24)]
+        want = {a: math.comb(a, a // 3) for a in tops}
+        wrong = []
+
+        def work(shift):
+            for a in tops[shift:] + tops[:shift]:
+                if _prime_power_binomial(a, a // 3) != want[a]:
+                    wrong.append(a)
+
+        threads = [threading.Thread(target=work, args=(shift,)) for shift in (0, 7, 13, 19, 23)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_routing(self, monkeypatch):
+        a = 4000
+        b = math.isqrt(_COMB_CUTOFF * a)  # the last b that math.comb answers
+        want = {b: math.comb(a, b), b + 1: math.comb(a, b + 1)}
+        comb_calls = []
+
+        def counting_comb(a, b):
+            comb_calls.append((a, b))
+            return want[b]
+
+        monkeypatch.setattr(math, "comb", counting_comb)
+        assert binomial(a, b) == want[b]
+        assert binomial(a, a - b) == want[b]
+        assert comb_calls == [(a, b), (a, b)]
+        comb_calls.clear()
+        assert binomial(a, b + 1) == want[b + 1]
+        assert binomial(a, a - b - 1) == want[b + 1]
+        assert comb_calls == []
 
 
 class TestPairCounts:
