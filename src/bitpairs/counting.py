@@ -33,7 +33,7 @@ All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  Every function is a pure function of its arguments; the
 recurrences' optional caches are explicit write-once maps, so concurrent
 callers can either share a cache or use one per thread with identical
-results.  The one hidden cache is the prime sieve behind large binomials:
+results.  The one hidden cache is the prime table behind large binomials:
 it is rebuilt only when a larger binomial needs more primes, it never
 changes a result, and it is safe across threads, since a rebuild publishes
 a new table and a reader keeps the one it holds.
@@ -42,6 +42,8 @@ a new table and a reader keeps the one it holds.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from itertools import compress
@@ -96,38 +98,43 @@ def binomial(a: int, b: int) -> int:
 
 
 # math.comb ends in big-int divisions, which CPython does in quadratic time;
-# the kernel only multiplies, but pays a Python step per prime up to b, one
-# per slice up to a / b, and a sieve of a bytes.  Timed on CPython 3.11, the
-# two break even near b * b = 250 * a for a around 2000 (b about a / 3), and
-# at smaller b * b / a as a grows: at a = 10**5 this cut-off keeps math.comb
-# up to b = 5000, where the kernel would be about 3x faster, in exchange for
-# a sieve of at most 2a <= b * b / 125 bytes.  3.12 breaks even at about the
-# same points, 3.10 (a slower math.comb) below b * b = 100 * a.
+# the kernel only multiplies, but pays a Python step per prime up to b and a
+# bisection per slice up to a / b.  Timed on CPython 3.11, the two break even
+# near b * b = 140 * a at a = 1000, 90 * a at a = 2000, 40 * a at a = 10**4
+# and 10-20 * a at a = 10**5 to 3 * 10**5.  At this cut-off, which sends
+# nothing below a = 1000 to the kernel (b <= a / 2), the kernel is 1.5x
+# faster at a = 1000, 4x at 10**4 and 5-6x at 10**5 to 3 * 10**5; a cut-off
+# of 150-200 would hand it binomials at a = 600-800 where math.comb is as
+# fast or faster.  3.12 breaks even at about the same points, 3.10 (a slower
+# math.comb) below b * b = 40 * a.
 _COMB_CUTOFF = 250
 
-# _sieve[p] == 1 exactly when p is prime, for p < len(_sieve).  Replaced by a
-# longer table when a call needs one, never changed in place once published,
-# so a reader that holds the old object still sees a valid table.
-_sieve = bytearray(2)
+# (limit, primes): every prime <= limit, ascending.  Replaced by a table with
+# at least twice the limit when a call needs more, never changed in place
+# once published, and read as one object, so a reader never pairs a new
+# limit with an old table.
+_primes = (1, array("L"))
 
 
-def _primality_table(limit: int) -> bytearray:
-    """A sieve of Eratosthenes covering 0..limit, at least doubled when grown."""
-    global _sieve
-    sieve = _sieve
-    if len(sieve) <= limit:
-        size = max(limit + 1, 2 * len(sieve))
-        sieve = bytearray(b"\x01") * size
+def _prime_table(limit: int) -> array:
+    """The primes up to at least limit, from a throwaway sieve when grown."""
+    global _primes
+    known, primes = _primes
+    if known < limit:
+        known = max(limit, 2 * known)
+        sieve = bytearray(b"\x01") * (known + 1)
         sieve[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(size - 1) + 1):
+        for p in range(2, math.isqrt(known) + 1):
             if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, size, p)))
-        _sieve = sieve
-    return sieve
+                sieve[p * p :: p] = bytes(len(range(p * p, known + 1, p)))
+        primes = array("L", compress(range(known + 1), sieve))
+        _primes = (known, primes)
+    return primes
 
 
 def _product(factors: list[int]) -> int:
-    """Product of factors in a balanced tree, so big operands meet in pairs."""
+    """Product of factors: math.prod over runs of 16, then a balanced tree."""
+    factors = [math.prod(factors[i : i + 16]) for i in range(0, len(factors), 16)]
     while len(factors) > 1:
         odd = factors[-1:] if len(factors) % 2 else []
         factors = list(map(int.__mul__, factors[::2], factors[1::2])) + odd
@@ -140,31 +147,30 @@ def _prime_power_binomial(a: int, b: int) -> int:
     By Legendre's formula a prime p divides C(a, b) exactly
     sum_i floor(a/p^i) - floor(b/p^i) - floor(r/p^i) times, r = a - b.
     With b <= r: a prime p <= sqrt(a) takes the full sum; above sqrt(a) one
-    term remains, 1 exactly when a mod p < b mod p.  A prime p > max(b,
-    sqrt(a)) has floor(a/p) = j for p in (a/(j+1), a/j], and its term is 1
-    exactly when p > r/j: those primes fill the slices (r/j, a/j], j >= 1,
-    so they are read off the sieve without a test each (j = 1 gives every
-    prime in (r, a]).
+    term remains, 1 exactly when a mod p < b mod p, tested in one pass over
+    the table's primes in (sqrt(a), b].  A prime p > max(b, sqrt(a)) has
+    floor(a/p) = j for p in (a/(j+1), a/j], and its term is 1 exactly when
+    p > r/j: those primes fill the slices (r/j, a/j], j >= 1, so each slice
+    is a range of the prime table, found by bisection and copied without a
+    test per prime (j = 1 gives every prime in (r, a]).
     """
     b = min(b, a - b)
     r = a - b
-    sieve = _primality_table(a)
+    primes = _prime_table(a)
     root = math.isqrt(a)
-    above = max(b, root) + 1
-
-    def primes(lo: int, hi: int) -> Iterator[int]:
-        return compress(range(lo, hi + 1), sieve[lo : hi + 1])
+    above = max(b, root)
+    small = bisect_right(primes, root)
 
     factors = []
-    for p in primes(2, root):
+    for p in primes[:small]:
         e, q = 0, p
         while q <= a:
             e += a // q - b // q - r // q
             q *= p
         factors.append(p**e)
-    factors += (p for p in primes(root + 1, b) if a % p < b % p)
-    for j in range(1, a // above + 1):
-        factors += primes(max(r // j + 1, above), a // j)
+    factors += [p for p in primes[small : bisect_right(primes, b)] if a % p < b % p]
+    for j in range(1, a // (above + 1) + 1):
+        factors += primes[bisect_right(primes, max(r // j, above)) : bisect_right(primes, a // j)]
     return _product(factors)
 
 

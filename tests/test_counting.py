@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -69,22 +70,24 @@ class TestPrimePowerKernel:
             for b in (0, 1, a // 2, a - 1, a, rng.randint(0, a), rng.randint(0, a // 50)):
                 assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
 
-    def test_any_sieve_growth_order(self, monkeypatch):
-        monkeypatch.setattr(bitpairs.counting, "_sieve", bytearray(2))
+    def test_any_table_growth_order(self, monkeypatch):
+        monkeypatch.setattr(bitpairs.counting, "_primes", (1, array("L")))
         # a smaller a reuses the table; a larger one at least doubles it
-        lengths = []
+        limits = []
         for a in (5000, 300, 9001, 9002, 40000):
             for b in (1, a // 3, a // 2):
                 assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
-            lengths.append(len(bitpairs.counting._sieve))
-        assert lengths == [5001, 5001, 10002, 10002, 40001]
-        sieve = bitpairs.counting._sieve
-        assert [p for p in range(1000) if sieve[p]] == [
+            limits.append(bitpairs.counting._primes[0])
+        assert limits == [5000, 5000, 10000, 10000, 40000]
+        limit, primes = bitpairs.counting._primes
+        assert list(primes) == sorted(primes)
+        assert primes[-1] <= limit
+        assert [p for p in primes if p < 1000] == [
             p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))
         ]
 
-    def test_threads_share_the_sieve(self, monkeypatch):
-        monkeypatch.setattr(bitpairs.counting, "_sieve", bytearray(2))
+    def test_threads_share_the_table(self, monkeypatch):
+        monkeypatch.setattr(bitpairs.counting, "_primes", (1, array("L")))
         tops = [400 * i + 401 for i in range(24)]
         want = {a: math.comb(a, a // 3) for a in tops}
         wrong = []
@@ -106,6 +109,33 @@ class TestPrimePowerKernel:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+
+    def test_slice_ends_on_a_prime(self):
+        # every bisected end -- sqrt(a), b, r / j and a / j -- lands on a prime
+        # or one past it
+        for p in (2, 3, 5, 7, 11, 13, 31, 97, 101, 211, 997, 7919):
+            tops = {j * p + d for j in range(1, 5) for d in (0, 1)}
+            if p < 250:
+                tops.add(p * p)
+            for a in sorted(tops):
+                root = math.isqrt(a)
+                bs = {root - 1, root, root + 1, p - 1, p, p + 1}
+                bs |= {a - j * p for j in range(1, 5)}
+                for b in sorted(b for b in bs if 0 <= b <= a):
+                    assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
+
+    def test_math_comb_leaves_the_table_alone(self, monkeypatch):
+        table = (1, array("L"))
+        monkeypatch.setattr(bitpairs.counting, "_primes", table)
+        assert binomial(10**9, 3) == math.comb(10**9, 3)
+        assert binomial(10**6, 15000) == math.comb(10**6, 15000)
+        assert bitpairs.counting._primes is table
+        a = 10**6
+        assert binomial(a, 3 * 10**5) > 0  # the kernel's values are pinned above
+        limit, primes = bitpairs.counting._primes
+        assert limit >= a
+        # under one byte per integer up to a, what a bytearray sieve would keep
+        assert sys.getsizeof(primes) < a + 1
 
     def test_routing(self, monkeypatch):
         a = 4000
