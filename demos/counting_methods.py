@@ -60,11 +60,15 @@ print(f"  z(500,120,80) has {len(str(big))} digits ({dt * 1000:.1f} ms)")
 print(f"  = {big}")
 print()
 
-print("Both recurrences run bottom-up over n on grids of the query's (k+1)(m+1)")
-print("cells, so their memory stays bounded whatever n is.  An optional")
-print("write-once MemoCache receives the final layer, so a warm cache answers")
-print("later queries at the same n without another pass, and a cache shared by")
-print("both recurrences raises if they ever disagree on a cell both wrote:")
+print("Both recurrences append one bit at a time to the strings counted on two")
+print("grids of the query's (k+1)(m+1) cells, one grid per last bit, so their")
+print("memory stays bounded whatever n is.  The split starts from \"0\" and sums")
+print("both grids; first-one starts from \"0\" and \"1\" and reads the grid of")
+print("strings ending in 0, which reversed are the ones starting with 0.  An")
+print("optional write-once MemoCache receives the final layer, so a warm cache")
+print("answers later queries at the same n without another pass, and a cache")
+print("shared by both recurrences raises if they ever disagree on a cell both")
+print("wrote:")
 shared = MemoCache()
 first = z_recur_split(60, 10, 8, shared)
 print(f"  z(60,10,8) = {first} (split, one layer), cache holds {len(shared)} entries")

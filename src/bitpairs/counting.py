@@ -26,17 +26,17 @@ one scan that reads each string's pair counts off the bits of its index with
 :func:`circular_pair_counts` remain the string-level definitions it is tested
 against.
 
-The two recurrences run bottom-up over n on two grids of the query's
-(k + 1) x (m + 1) cells, so their memory is bounded whatever n is.
+The two recurrences run one append-a-bit step bottom-up over n on two grids
+of the query's (k + 1) x (m + 1) cells, so their memory is bounded.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  Every function is a pure function of its arguments; the
 recurrences' optional caches are explicit write-once maps, so concurrent
 callers can either share a cache or use one per thread with identical
-results.  The one hidden cache is the prime table behind large binomials:
-it is rebuilt only when a larger binomial needs more primes, it never
-changes a result, and it is safe across threads, since a rebuild publishes
-a new table and a reader keeps the one it holds.
+results.  Two hidden caches never change a result: the oracles' histogram
+per scanned (n, circular), n within the oracle limit, is a pure function of
+its key, and the kernel's prime table holds every prime up to its limit,
+republished whole when a larger binomial needs more (a reader keeps its own).
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 DEFAULT_ORACLE_LIMIT = 20  # one oracle pass enumerates at most 2**20 strings
 
 _MISSING = object()
+_Grid = list[list[int]]  # cell [a][b] for profile (a, b), 0 <= a <= k, 0 <= b <= m
 
 
 class PairProfile(NamedTuple):
@@ -312,48 +313,53 @@ def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIM
 # ---------------------------------------------------------------------------
 
 
-def _split_layer(n: int, k: int, m: int) -> list[list[int]]:
-    """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the last-bit split, n >= 1.
+def _append_bits(steps: int, end0: _Grid, end1: _Grid) -> tuple[_Grid, _Grid]:
+    """Append a bit ``steps`` times; the input grids are left unchanged.
 
-    end0[a][b] and end1[a][b] count the strings of the current length that
-    start with 0, have profile (a, b) and end in 0 or in 1.  Appending a 0
-    gives end0'[a] = end0[a-1] + end1[a]; appending a 1 gives
+    end0[a][b] and end1[a][b] count the strings of the current length with
+    profile (a, b) that end in 0 and in 1.  A 0 adds a 0-pair after a 0, and
+    a 1 a 1-pair after a 1: end0'[a][b] = end0[a-1][b] + end1[a][b] and
     end1'[a][b] = end0[a][b] + end1[a][b-1].
     """
-    zero = [0] * (m + 1)
-    end0 = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]  # n = 1: "0"
-    end1 = [zero] * (k + 1)
-    for _ in range(n - 1):
+    zero = [0] * len(end0[0])
+    for _ in range(steps):
         end0, end1 = (
             [list(map(add, up0, row1)) for up0, row1 in zip([zero, *end0], end1)],
             [list(map(add, row0, (0, *row1[:-1]))) for row0, row1 in zip(end0, end1)],
         )
+    return end0, end1
+
+
+def _one_bit(k: int, m: int) -> _Grid:
+    return [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
+
+
+def _split_layer(n: int, k: int, m: int) -> _Grid:
+    """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the last-bit split, n >= 1.
+
+    n-1 bits appended to "0"; z sums the two end-bit grids.
+    """
+    end0, end1 = _append_bits(n - 1, _one_bit(k, m), [[0] * (m + 1)] * (k + 1))
     return [list(map(add, row0, row1)) for row0, row1 in zip(end0, end1)]
 
 
-def _firstone_layer(n: int, k: int, m: int) -> list[list[int]]:
+def _firstone_layer(n: int, k: int, m: int) -> _Grid:
     """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the first-1 position sum, n >= 1.
 
     w(L, a, b) = z(L, b, a) counts the length-L strings that start with 1, by
     complement.  At length L, p[a][b] is the diagonal sum of w(L-i, a-i, b)
     over i >= 0, which is z(L+1, a, b): i+1 leading 0s, then a string that
     starts with 1 or is empty.  Likewise q[a][b], the diagonal sum of
-    z(L-i, a, b-i), is w(L+1, a, b).  So p' = q + p shifted one in a and
-    q' = p + q shifted one in b; the empty string seeds both at L = 0.
+    z(L-i, a, b-i), is w(L+1, a, b).  By reversal, p and q count all strings
+    of length L+1, either leading bit, that end in 0 and in 1, so they step
+    as end0 and end1 do, seeded at L = 0 with both one-bit strings; p is z.
     """
-    zero = [0] * (m + 1)
-    p = q = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
-    for _ in range(n - 1):
-        p, q = (
-            [list(map(add, qrow, up)) for qrow, up in zip(q, [zero, *p])],
-            [list(map(add, prow, (0, *qrow[:-1]))) for prow, qrow in zip(p, q)],
-        )
-    return p
+    return _append_bits(n - 1, _one_bit(k, m), _one_bit(k, m))[0]
 
 
 def _layer_cell(
     n: int, k: int, m: int, cache: Optional[MemoCache],
-    layer: Callable[[int, int, int], list[list[int]]],
+    layer: Callable[[int, int, int], _Grid],
 ) -> int:
     base = z_base_case(n, k, m)
     if base is not None:
@@ -370,11 +376,8 @@ def _layer_cell(
 def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
     """z via the last-bit case split (transfer matrices, Stanley *EC1* §4.7).
 
-    A counted string of length n >= 2 is a shorter one with a bit appended.
-    A 0 adds a 0-pair exactly when the shorter string ends in 0, and a 1 adds
-    a 1-pair exactly when it ends in 1, so with z0 and z1 counting by last
-    bit, z0(n,k,m) = z0(n-1,k-1,m) + z1(n-1,k,m), z1(n,k,m) = z0(n-1,k,m) +
-    z1(n-1,k,m-1) and z = z0 + z1.  Evaluated bottom-up from "0" at n = 1.
+    A counted string of length n >= 2 is a shorter one with a bit appended,
+    so :func:`_split_layer` counts them by last bit bottom-up from "0".
     A given ``cache`` receives the cells of the final layer, so once warm it
     answers later queries at the same n; shared with the other recurrence, it
     raises where the two routes disagree.
@@ -388,12 +391,8 @@ def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) 
     For non-boundary input, z(n,k,m) is the sum over f = 1..k+1 of
     z(n-f, m, k+1-f): everything before the first 1 is a block of f leading
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
-    the pair roles swapped.
-
-    Each term is w(n-f, k+1-f, m), w counting the strings that start with 1,
-    so the terms lie on one diagonal of the lower layers; running sums along
-    the diagonals, carried bottom-up from the empty string, hold every such
-    sum term by term.  ``cache`` works as for :func:`z_recur_split`.
+    the pair roles swapped, on one diagonal of the lower layers (see
+    :func:`_firstone_layer`).  ``cache`` works as for :func:`z_recur_split`.
     """
     return _layer_cell(n, k, m, cache, _firstone_layer)
 

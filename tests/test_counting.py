@@ -31,6 +31,7 @@ from bitpairs import (
 )
 from bitpairs.counting import (
     _COMB_CUTOFF,
+    _append_bits,
     _firstone_layer,
     _prime_power_binomial,
     _profiles,
@@ -299,6 +300,29 @@ class TestRecurrences:
                 for a in range(k + 1):
                     for b in range(m + 1):
                         assert layer[a][b] == z_oracle(n, a, b), (n, a, b)
+
+    def test_append_bits_state(self):
+        # both end-bit grids, not only a layer's readout, on the same shapes:
+        # grown from "0", a string ends as it starts iff its n-1-a-b flips are
+        # even; grown from both one-bit strings, reversal turns "ends in 0"
+        # into "starts with 0" and complement swaps a and b for "ends in 1"
+        for n in range(1, 15):
+            for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
+                one_bit = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
+                zeros = [[0] * (m + 1) for _ in range(k + 1)]
+                from0 = _append_bits(n - 1, one_bit, zeros)
+                both = _append_bits(n - 1, one_bit, one_bit)
+                for a in range(k + 1):
+                    for b in range(m + 1):
+                        z = z_oracle(n, a, b)
+                        ends_equal = (n - 1 - a - b) % 2 == 0
+                        assert from0[0][a][b] == (z if ends_equal else 0), (n, a, b)
+                        assert from0[1][a][b] == (0 if ends_equal else z), (n, a, b)
+                        assert both[0][a][b] == z, (n, a, b)
+                        assert both[1][a][b] == z_oracle(n, b, a), (n, a, b)
+                # the seeds come back unchanged
+                assert one_bit == [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
+                assert zeros == [[0] * (m + 1) for _ in range(k + 1)]
 
     @pytest.mark.parametrize(
         "recur,n,k,m,bound",
