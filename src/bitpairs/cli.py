@@ -9,7 +9,9 @@ of every count printed, however many there are.
 
 The parser is built once per process, on the first call of `run`, and
 reused: argparse keeps no parse state on it, so no call sees another's
-arguments, and importing this module builds nothing.
+arguments, and importing this module builds nothing.  Only `counting` is
+imported with this module; each subcommand imports `tables` or
+`enumeration` when it runs, so a `count` process loads neither.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ from typing import Optional
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
+    TRIANGLE_FORMATS,
+    VERIFY_MODES,
+    Z_TABLE_FORMATS,
     _check_length,
     s_circular,
     s_circular_oracle,
@@ -30,15 +35,6 @@ from .counting import (
     z_recur_firstone,
     z_recur_split,
     z_reduce_to_m0,
-)
-from .enumeration import enumerate_circular, enumerate_Z, from_terquem, to_terquem
-from .tables import (
-    TRIANGLE_FORMATS,
-    VERIFY_MODES,
-    Z_TABLE_FORMATS,
-    render_terquem_triangle,
-    render_z_table,
-    verify_all,
 )
 
 METHODS = ("auto", "oracle", "split", "first-one", "reduce", "closed")
@@ -92,23 +88,31 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .tables import render_z_table
+
     mode = "circular" if args.circular else "linear"
     _emit(render_z_table(args.n, mode, args.format), args.out)
     return 0
 
 
 def _cmd_triangle(args: argparse.Namespace) -> int:
+    from .tables import render_terquem_triangle
+
     _emit(render_terquem_triangle(args.rows, args.format), args.out)
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .tables import verify_all
+
     report = verify_all(args.max_n, args.mode, limit=args.oracle_limit)
     print(report.summary())
     return 0 if report.success else 1
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .enumeration import enumerate_circular, enumerate_Z
+
     listing = enumerate_circular if args.circular else enumerate_Z
     for b in listing(args.n, args.k, args.m, limit=args.oracle_limit):
         print(b)
@@ -128,6 +132,8 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
 
 
 def _cmd_bijection(args: argparse.Namespace) -> int:
+    from .enumeration import from_terquem, to_terquem
+
     if args.string is not None:
         if args.n is not None:
             raise ValueError("--n applies only to --sequence")

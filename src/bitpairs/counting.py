@@ -51,6 +51,10 @@ from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional
 
 DEFAULT_ORACLE_LIMIT = 20  # one oracle pass enumerates at most 2**20 strings
+# the choices of `tables` and the CLI, kept here so building the parser imports no tables
+Z_TABLE_FORMATS = ("csv", "tsv", "json")
+TRIANGLE_FORMATS = ("csv", "bfile")
+VERIFY_MODES = ("linear", "circular", "both")
 
 _MISSING = object()
 _Grid = list[list[int]]  # cell [a][b] for profile (a, b), 0 <= a <= k, 0 <= b <= m

@@ -8,19 +8,22 @@ diffed byte-for-byte:
 * zero cells are kept: the zero pattern (boundary and parity) is itself one
   of the claims the suite tests;
 * b-files use the OEIS convention of a 1-based running index over the
-  triangle read by rows, so the first line is "1 1".
+  triangle read by rows, so the first line is "1 1";
+* json is written from one record template with the bytes of
+  ``json.dumps(records, indent=1)``, so rendering imports no encoder; only
+  :func:`parse_z_table` imports ``json``, ``csv`` and ``io``.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import time
 from typing import NamedTuple
 
 from .counting import (
     DEFAULT_ORACLE_LIMIT,
+    TRIANGLE_FORMATS,
+    VERIFY_MODES,
+    Z_TABLE_FORMATS,
     _check_length,
     _check_oracle_n,
     _firstone_layer,
@@ -35,9 +38,6 @@ from .counting import (
     z_reduce_to_m0,
 )
 
-Z_TABLE_FORMATS = ("csv", "tsv", "json")
-TRIANGLE_FORMATS = ("csv", "bfile")
-VERIFY_MODES = ("linear", "circular", "both")
 _HEADER = ("n", "k", "m", "count")  # the one table layout, in column order
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
 
@@ -82,8 +82,13 @@ def render_z_table(n: int, mode: str = "linear", fmt: str = "csv") -> str:
     _check_choice("format", fmt, Z_TABLE_FORMATS)
     table = z_table(n, mode)
     if fmt == "json":
-        records = [dict(zip(_HEADER, (n, k, m, c))) for k, m, c in table.cells]
-        return json.dumps(records, indent=1) + "\n"
+        # the bytes of json.dumps(records, indent=1) for these all-int records,
+        # without the pure-Python encoder
+        records = ",\n".join(
+            f' {{\n  "n": {n},\n  "k": {k},\n  "m": {m},\n  "count": {c}\n }}'
+            for k, m, c in table.cells
+        )
+        return f"[\n{records}\n]\n"
     sep = _SEPARATORS[fmt]
     lines = [sep.join(_HEADER)]
     lines += [sep.join((str(n), str(k), str(m), str(c))) for k, m, c in table.cells]
@@ -99,6 +104,8 @@ def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
     """
     _check_choice("format", fmt, Z_TABLE_FORMATS)
     if fmt == "json":
+        import json
+
         data = json.loads(text)
         if not isinstance(data, list) or not all(
             isinstance(r, dict) and r.keys() == set(_HEADER) for r in data
@@ -108,6 +115,9 @@ def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
         if any(type(v) is not int for record in records for v in record):
             raise ValueError("malformed table: fields must be integers")
     else:
+        import csv
+        import io
+
         rows = [r for r in csv.reader(io.StringIO(text), delimiter=_SEPARATORS[fmt]) if r]
         if not rows or rows[0] != list(_HEADER):
             raise ValueError("malformed table: missing header")

@@ -42,6 +42,15 @@ def invoke(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def invalid_choice(option, value, choices):
+    """The results argparse may give for a value outside `choices`: some Python
+    versions print each choice with repr(), others bare."""
+    return [
+        (2, "", f"error: argument {option}: invalid choice: {value!r} (choose from {listed})\n")
+        for listed in (", ".join(map(repr, choices)), ", ".join(choices))
+    ]
+
+
 def mask_elapsed(result):
     """An invoke() result with verify's wall-clock time blanked out."""
     code, out, err = result
@@ -404,8 +413,12 @@ class TestTableAndTriangle:
         assert len(lines) == 55
 
     def test_bad_format(self, capsys):
-        code, _, err = invoke(capsys, "table", "--n", "4", "--format", "xml")
-        assert code == 2
+        for command, choices in (
+            ("table --n 4", ("csv", "tsv", "json")),
+            ("triangle --rows 4", ("csv", "bfile")),
+        ):
+            result = invoke(capsys, *command.split(), "--format", "xml")
+            assert result in invalid_choice("--format", "xml", choices), command
 
     @pytest.mark.parametrize(
         "command,target",
@@ -437,6 +450,10 @@ class TestVerify:
         code, out, _ = invoke(capsys, "verify", "--max-n", "4", "--mode", "linear")
         assert code == 1
         assert out.startswith("FAIL")
+
+    def test_bad_mode(self, capsys):
+        result = invoke(capsys, "verify", "--max-n", "4", "--mode", "spiral")
+        assert result in invalid_choice("--mode", "spiral", ("linear", "circular", "both"))
 
     def test_over_limit(self, capsys):
         code, _, err = invoke(capsys, "verify", "--max-n", "25")
@@ -470,7 +487,53 @@ def spawn(argv, cwd):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+class TestImportFootprint:
+    """A command imports only what it runs; a bare ``import bitpairs`` loads no submodule."""
+
+    # a fresh interpreter: the modules that importing the CLI and one command add
+    PROBE = """\
+import sys
+before = set(sys.modules)
+import bitpairs.cli
+code = bitpairs.cli.run(sys.argv[1:])
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+    def added(self, tmp_path, *argv):
+        code, _, err = spawn([sys.executable, "-c", self.PROBE, *argv], tmp_path)
+        status, *modules = err.split()
+        assert (code, status) == (0, "0"), err
+        return set(modules)
+
+    def test_count(self, tmp_path):
+        added = self.added(tmp_path, "count", "--n", "8", "--k", "2", "--m", "2")
+        assert "bitpairs.counting" in added
+        assert not added & {"bitpairs.tables", "bitpairs.enumeration", "json", "csv"}
+
+    @pytest.mark.parametrize(
+        "argv", ["table --n 4 --format csv", "triangle --rows 4", "verify --max-n 4"]
+    )
+    def test_tables_commands_load_no_codecs(self, tmp_path, argv):
+        added = self.added(tmp_path, *argv.split())
+        assert "bitpairs.tables" in added
+        assert not added & {"json", "csv"}
+
+    def test_package_import(self, tmp_path):
+        probe = (
+            "import sys; before = set(sys.modules); import bitpairs; "
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('bitpairs.')))"
+        )
+        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "[]\n", "")
+
+
 class TestConsoleScript:
+    def test_run_as_module_without_warnings(self, tmp_path):
+        # runpy warns when the module it runs is already imported, e.g. by the package
+        args = ["count", "--n", "8", "--k", "2", "--m", "2", "--circular"]
+        for module in ("bitpairs.cli", "bitpairs"):
+            command = [sys.executable, "-W", "error", "-m", module, *args]
+            assert spawn(command, tmp_path) == (0, "36\n", ""), module
+
     def test_entry_point(self, tmp_path):
         args = ["count", "--n", "8", "--k", "2", "--m", "2", "--circular"]
         expected = (0, "36\n", "")

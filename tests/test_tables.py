@@ -75,6 +75,16 @@ class TestRenderZTable:
         assert all(set(r) == {"n", "k", "m", "count"} for r in records)
         assert len(records) == 16
 
+    def test_json_bytes_match_json_dumps(self):
+        # the json module stays the reference for the one-template rendering
+        for mode, first in (("linear", 1), ("circular", 2)):
+            for n in range(first, 41):
+                table = z_table(n, mode)
+                records = [dict(zip(bitpairs.tables._HEADER, (n, k, m, c))) for k, m, c in table.cells]
+                text = render_z_table(n, mode, "json")
+                assert text == json.dumps(records, indent=1) + "\n", (n, mode)
+                assert parse_z_table(text, "json") == table
+
     def test_newline_discipline(self):
         for fmt in ("csv", "tsv", "json"):
             text = render_z_table(3, "linear", fmt)
