@@ -32,7 +32,9 @@ print(f"  s(8,2,2) = 8 * z(8,2,2) / 2 = 8 * {z_auto(8, 2, 2)} / 2")
 print()
 
 print("The linear count z(n,k,m) fixes a leading 0 and drops the wraparound")
-print("adjacency.  Six independent routes compute it; five apply here:")
+print("adjacency.  Six routes compute it, five of them here.  The two")
+print("recurrences share one append-a-bit step and differ in seed and readout;")
+print("the other routes are derived on their own:")
 print()
 n, k, m = 12, 3, 2
 routes = [

@@ -12,6 +12,12 @@ reused: argparse keeps no parse state on it, so no call sees another's
 arguments, and importing this module builds nothing.  Only `counting` is
 imported with this module; each subcommand imports `tables` or
 `enumeration` when it runs, so a `count` process loads neither.
+
+Calls of `run` must not overlap across threads.  Each call lifts CPython's
+int <-> str digit limit and restores it when it returns, and that limit is
+process-wide, like the `sys.stdout` and `sys.stderr` it writes to: a call
+that returns while another runs puts the limit back under it, and the other
+can then fail on a count beyond 4300 digits or restore a lifted limit.
 """
 
 from __future__ import annotations

@@ -10,8 +10,11 @@ Conventions used throughout the package:
 * ``s_circular(n, k, m)`` counts all length-n strings, either leading bit,
   with exactly k 0-pairs and m 1-pairs under circular adjacency.
 
-z is computed by six independent routes that the test-suite cross-checks
-against each other:
+z is computed by six routes that the test-suite cross-checks against each
+other.  They are not six independent derivations: the two recurrences run
+one shared append-a-bit step (:func:`_append_bits`) and differ only in seed
+and readout; the reduction answers the m = 0 column with the closed form;
+and those two and the runs count take every binomial from :func:`binomial`.
 
 * :func:`z_oracle` -- exhaustive scan of every string, the ground truth;
 * :func:`z_recur_split` -- recurrence on the last bit;
@@ -26,8 +29,8 @@ one scan that reads each string's pair counts off the bits of its index with
 :func:`circular_pair_counts` remain the string-level definitions it is tested
 against.
 
-The two recurrences run one append-a-bit step bottom-up over n on two grids
-of the query's (k + 1) x (m + 1) cells, so their memory is bounded.
+The recurrences' step runs bottom-up over n on two grids of the query's
+(k + 1) x (m + 1) cells, so their memory is bounded.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  Every function is a pure function of its arguments; the
@@ -56,7 +59,6 @@ Z_TABLE_FORMATS = ("csv", "tsv", "json")
 TRIANGLE_FORMATS = ("csv", "bfile")
 VERIFY_MODES = ("linear", "circular", "both")
 
-_MISSING = object()
 _Grid = list[list[int]]  # cell [a][b] for profile (a, b), 0 <= a <= k, 0 <= b <= m
 
 
@@ -78,14 +80,16 @@ class MemoCache(dict):
     immutable ints and rewriting an identical value is a no-op).  Rewriting
     a key with a *different* value raises, so a shared cache turns any
     disagreement of the two routes on a cell they both wrote into a loud
-    failure instead of a wrong count.
+    failure instead of a wrong count.  The check and the write are one
+    ``dict.setdefault``, so of several threads writing one key the first
+    value stays and every different one raises.  Only item assignment is
+    checked: ``update()`` and ``|=`` are dict's own and overwrite silently.
     """
 
     def __setitem__(self, key: tuple[int, int, int], value: int) -> None:
-        old = self.get(key, _MISSING)
-        if old is not _MISSING and old != value:
+        old = self.setdefault(key, value)
+        if old != value:
             raise ValueError(f"memo cache overwrite at {key}: {old} -> {value}")
-        dict.__setitem__(self, key, value)
 
 
 def binomial(a: int, b: int) -> int:

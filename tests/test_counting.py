@@ -87,7 +87,7 @@ class TestPrimePowerKernel:
             p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))
         ]
 
-    def test_threads_share_the_table(self, monkeypatch):
+    def test_threads_share_the_table(self, monkeypatch, fast_switching):
         monkeypatch.setattr(bitpairs.counting, "_primes", (1, array("L")))
         tops = [400 * i + 401 for i in range(24)]
         want = {a: math.comb(a, a // 3) for a in tops}
@@ -99,15 +99,10 @@ class TestPrimePowerKernel:
                     wrong.append(a)
 
         threads = [threading.Thread(target=work, args=(shift,)) for shift in (0, 7, 13, 19, 23)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
 
@@ -400,6 +395,63 @@ class TestMemoCache:
             shared[12, 4, 2] = z_oracle(12, 4, 2) + 1
             with pytest.raises(ValueError, match="overwrite"):
                 second(12, 4, 3, shared)
+
+    def test_concurrent_writers_of_one_key(self, fast_switching):
+        # four writers per key, each with its own value, released together:
+        # one value stays and the other three raise, in every round
+        keys = [(n, 1, 1) for n in range(200)]
+        writers = 4
+        for _ in range(60):
+            cache = MemoCache()
+            barrier = threading.Barrier(writers, timeout=60)
+            refused = [[] for _ in range(writers)]
+
+            def write(value):
+                barrier.wait()
+                for key in keys:
+                    try:
+                        cache[key] = value
+                    except ValueError:
+                        refused[value].append(key)
+
+            threads = [threading.Thread(target=write, args=(v,)) for v in range(writers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            for key in keys:
+                kept = [v for v in range(writers) if key not in refused[v]]
+                assert kept == [cache[key]], key
+
+    def test_threads_share_one_cache_across_recurrences(self, fast_switching):
+        # overlapping queries at one n: each thread answers some from its
+        # own layer and some from another thread's, and rewrites equal cells
+        n = 60
+        queries = [(k, m) for k in range(0, 13, 3) for m in range(0, 10, 3)]
+        shared = MemoCache()
+        wrong, raised = [], []
+
+        def work(recur, shift):
+            try:
+                for k, m in queries[shift:] + queries[:shift]:
+                    if recur(n, k, m, shared) != z_auto(n, k, m):
+                        wrong.append((recur.__name__, k, m))
+            except ValueError as e:
+                raised.append(e)
+
+        threads = [
+            threading.Thread(target=work, args=(recur, shift))
+            for shift in (0, 5, 11)
+            for recur in (z_recur_split, z_recur_firstone)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == raised == []
+        assert {key[0] for key in shared} == {n}
 
 
 class TestReduction:

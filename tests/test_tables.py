@@ -192,6 +192,21 @@ class TestVerifyAll:
             "circular", "end-parity", "column-collapse",
         }
 
+    @pytest.mark.parametrize("mode", ["linear", "circular", "both"])
+    @pytest.mark.parametrize("max_n", [2, 5, 9, 14])
+    def test_check_count(self, max_n, mode):
+        # per n: the (n+1)^2 grid for the four linear routes plus the n+1
+        # cells of the closed form's column, the ring's (n+1)^2 grid from
+        # n = 2, 2^n strings for end parity and n-1 column-collapse cells
+        lengths = range(1, max_n + 1)
+        linear = sum(4 * (n + 1) ** 2 + (n + 1) for n in lengths)
+        circular = sum((n + 1) ** 2 for n in lengths if n >= 2)
+        always = sum(2**n + max(0, n - 1) for n in lengths)
+        want = always + {"linear": linear, "circular": circular, "both": linear + circular}[mode]
+        assert verify_all(max_n, mode).checks == want
+        if max_n == 14:
+            assert want == {"linear": 37932, "circular": 34092, "both": 39167}[mode]
+
     def test_minimum_range(self):
         report = verify_all(2, "linear")
         assert report.success
