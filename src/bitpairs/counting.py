@@ -24,10 +24,13 @@ and those two and the runs count take every binomial from :func:`binomial`.
 * :func:`z_auto` -- the runs count, two binomials: the fast path.
 
 The oracles, the enumerators and ``verify_all``'s end-bit parity check share
-one scan that reads each string's pair counts off the bits of its index with
-``int.bit_count``; :func:`linear_pair_counts` and
-:func:`circular_pair_counts` remain the string-level definitions it is tested
-against.
+one scan of the 2**(n-1) strings that start with 0 (:func:`_profiles`).  It
+reads each string's pair counts off the bits of its index with
+``int.bit_count``, and the last bit fixes the ring the string closes into
+(:func:`_ring_keys`).  No scan visits a string that starts with 1: each is
+the complement of one that starts with 0, with k and m swapped.
+:func:`linear_pair_counts` and :func:`circular_pair_counts` remain the
+string-level definitions the scan and the rings are tested against.
 
 The recurrences' step runs bottom-up over n on two grids of the query's
 (k + 1) x (m + 1) cells, so their memory is bounded.
@@ -37,9 +40,9 @@ overflows.  Every function is a pure function of its arguments; the
 recurrences' optional caches are explicit write-once maps, so concurrent
 callers can either share a cache or use one per thread with identical
 results.  Two hidden caches never change a result: the oracles' histogram
-per scanned (n, circular), n within the oracle limit, is a pure function of
-its key, and the kernel's prime table holds every prime up to its limit,
-republished whole when a larger binomial needs more (a reader keeps its own).
+per n, n within the oracle limit, is a pure function of n, and the kernel's
+prime table holds every prime up to its limit, republished whole when a
+larger binomial needs more (a reader keeps its own).
 """
 
 from __future__ import annotations
@@ -275,45 +278,60 @@ def _check_oracle_n(n: int, circular: bool, limit: int) -> None:
         raise ValueError(f"oracle limit exceeded: n={n} > {limit}")
 
 
-def _profiles(n: int, strings: int, circular: bool) -> Iterator[tuple[int, int, int]]:
-    """(v, k, m) for every v < strings, v read as the string format(v, f"0{n}b").
+def _profiles(n: int) -> Iterator[tuple[int, int, int]]:
+    """(v, k, m) for every string that starts with 0, v read as format(v, f"0{n}b").
 
-    Bit i of v holds string position n-1-i.  With w = v >> 1, plus bit 0
-    rotated into bit n-1 under circular adjacency, bit i of v & w is set
-    exactly when positions n-2-i and n-1-i (mod n) are both 1, and a clear
-    bit of v | w among the adjacent slots marks a 0-pair.
+    Those are the v < 2**(n-1).  Bit i of v holds string position n-1-i, so
+    v & 1 is the last bit; bit i of v & v >> 1 is set exactly when positions
+    n-2-i and n-1-i are both 1, and a clear bit of v | v >> 1 among the n-1
+    adjacent slots marks a 0-pair.
     """
-    slots = (1 << (n if circular else n - 1)) - 1
-    top, wrap = n - 1, int(circular)
-    for v in range(strings):
-        w = v >> 1 | (v & wrap) << top
-        yield v, (~(v | w) & slots).bit_count(), (v & w).bit_count()
+    slots = (1 << (n - 1)) - 1
+    for v in range(slots + 1):
+        yield v, (slots ^ (v | v >> 1)).bit_count(), (v & v >> 1).bit_count()
 
 
 @lru_cache(maxsize=None)
-def _profile_histogram(n: int, circular: bool) -> dict[tuple[int, int], int]:
-    # One pass per n: the 2**(n-1) strings that start with 0, or all 2**n.
-    strings = 1 << (n if circular else n - 1)
-    return dict(Counter((k, m) for _, k, m in _profiles(n, strings, circular)))
+def _profile_histogram(n: int) -> dict[tuple[int, int, int], int]:
+    # One pass per n over the strings that start with 0, keyed (k, m, last bit).
+    return dict(Counter((k, m, v & 1) for v, k, m in _profiles(n)))
+
+
+def _ring_keys(k: int, m: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Histogram keys of the strings that start with 0 and close into (k, m) rings.
+
+    Keys are (k, m, last bit) of the linear profile.  The wrap slot pairs the
+    last bit with the leading 0, so it adds a 0-pair exactly when the last
+    bit is 0.
+    """
+    return (k - 1, m, 0), (k, m, 1)
 
 
 def z_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
     """z(n, k, m) by scanning every length-n string that starts with 0.
 
     Ground truth for the formula-based routes.  One pass reads each string's
-    pair counts off the bits of its index (see :func:`_profiles`, which the
-    tests pin to :func:`linear_pair_counts`) and histograms all profiles of
-    that n, so repeated queries at the same n cost nothing extra.
-    Exponential in n: refused above the oracle limit (default 20).
+    pair counts and last bit off the bits of its index (see
+    :func:`_profiles`, which the tests pin to :func:`linear_pair_counts`) and
+    histograms all of that n, so repeated queries at the same n cost nothing
+    extra; z sums the two last-bit cells of (k, m).  Exponential in n:
+    refused above the oracle limit (default 20).
     """
     _check_oracle_n(n, False, limit)
-    return _profile_histogram(n, False).get((k, m), 0)
+    return sum(_profile_histogram(n).get((k, m, last), 0) for last in (0, 1))
 
 
 def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
-    """Circular-adjacency count by scanning all 2**n length-n strings."""
+    """Circular-adjacency count of all 2**n strings, by scanning half of them.
+
+    A string that starts with 0 closes into a (k, m) ring when its histogram
+    cell is one of the :func:`_ring_keys` of (k, m).  A ring that starts with
+    1 is the complement of one that starts with 0 and closes into (m, k), so
+    the count adds the cells of both key pairs.  Same histogram, and so the
+    same scan and limit, as :func:`z_oracle`.
+    """
     _check_oracle_n(n, True, limit)
-    return _profile_histogram(n, True).get((k, m), 0)
+    return sum(_profile_histogram(n).get(key, 0) for key in _ring_keys(k, m) + _ring_keys(m, k))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .counting import DEFAULT_ORACLE_LIMIT, _check_length, _check_oracle_n, _profiles, _require_bits
+from .counting import DEFAULT_ORACLE_LIMIT, _check_length, _check_oracle_n, _require_bits
+from .counting import _profiles, _ring_keys  # the scan of the strings that start with 0
 
 _INVERT = str.maketrans("01", "10")
 
@@ -24,23 +25,29 @@ def invert_bits(b: str) -> str:
 def enumerate_Z(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
     """All length-n strings starting with 0 with linear profile (k, m).
 
-    Lexicographic order; exhaustive scan of 2**(n-1) candidates, so the
-    oracle limit applies.
+    Lexicographic order; an exhaustive scan of the 2**(n-1) strings that
+    start with 0, so the oracle limit applies.
     """
     _check_oracle_n(n, False, limit)
     width = f"0{n}b"
-    return [format(v, width) for v, a, b in _profiles(n, 1 << (n - 1), False) if (a, b) == (k, m)]
+    return [format(v, width) for v, a, b in _profiles(n) if (a, b) == (k, m)]
 
 
 def enumerate_circular(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
     """All length-n strings (either leading bit) with circular profile (k, m).
 
-    Lexicographic order; scans all 2**n candidates, so the oracle limit
-    applies.
+    Lexicographic order.  Two scans of the 2**(n-1) strings that start with
+    0, so the oracle limit applies.  The first lists those that close into
+    (k, m) rings (see :func:`~bitpairs.counting._ring_keys`).  The second
+    finds those that close into (m, k) rings: their complements are the
+    listed strings that start with 1, in descending order, so they are
+    reversed.
     """
     _check_oracle_n(n, True, limit)
-    width = f"0{n}b"
-    return [format(v, width) for v, a, b in _profiles(n, 1 << n, True) if (a, b) == (k, m)]
+    width, ones = f"0{n}b", (1 << n) - 1
+    zero, one = _ring_keys(k, m), _ring_keys(m, k)
+    tail = [format(v ^ ones, width) for v, a, b in _profiles(n) if (a, b, v & 1) in one]
+    return [format(v, width) for v, a, b in _profiles(n) if (a, b, v & 1) in zero] + tail[::-1]
 
 
 # ---------------------------------------------------------------------------

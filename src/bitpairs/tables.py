@@ -28,13 +28,14 @@ from .counting import (
     _check_oracle_n,
     _firstone_layer,
     _profile_histogram,
-    _profiles,
     _split_layer,
     s_circular,
+    s_circular_oracle,
     terquem_T,
     wrap_parity_predicts_equal_ends,
     z_auto,
     z_closed_m0,
+    z_oracle,
     z_reduce_to_m0,
 )
 
@@ -212,11 +213,13 @@ def verify_all(
     """Compare every counting route against the oracles up to max_n.
 
     Covers, per mode, the full (n, k, m) grid with 0 <= k, m <= n for the
-    four fast linear methods, the closed form on the m = 0 column, and the
-    circular formula; plus, always, the z(n,0,m) = z(n-1,m,0) identity and
-    the end-bit parity rule, checked once per (k, m, equal ends) seen among
-    the 2**n strings of each length and counted as 2**n checks.  The report
-    lists every mismatch sorted by (n, k, m, method); success means none.
+    four fast linear methods against :func:`z_oracle`, the closed form on
+    the m = 0 column, and the circular formula against
+    :func:`s_circular_oracle`; plus, always, the z(n,0,m) = z(n-1,m,0)
+    identity and the end-bit parity rule, checked once per (k, m, equal
+    ends) that a length-n string has (the oracle histogram's keys and their
+    complements') and counted as 2**n checks.  The report lists every
+    mismatch sorted by (n, k, m, method); success means none.
     """
     _check_choice("mode", mode, VERIFY_MODES)
     if max_n < 2:
@@ -244,12 +247,11 @@ def verify_all(
 
     if do_linear:
         for n in range(1, max_n + 1):
-            # one whole layer per recurrence and one oracle histogram, boundary cells included
+            # one whole layer per recurrence, boundary cells included
             split, firstone = _split_layer(n, n, n), _firstone_layer(n, n, n)
-            oracle = _profile_histogram(n, False)
             for k in range(n + 1):
                 for m in range(n + 1):
-                    want = oracle.get((k, m), 0)
+                    want = z_oracle(n, k, m, limit=limit)
                     compare(n, k, m, "split", split[k][m], want)
                     compare(n, k, m, "first-one", firstone[k][m], want)
                     compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
@@ -259,13 +261,16 @@ def verify_all(
 
     if do_circular:
         for n in range(2, max_n + 1):
-            oracle = _profile_histogram(n, True)
             for k, m in _grid(n, "circular"):
-                compare(n, k, m, "circular", s_circular(n, k, m), oracle.get((k, m), 0))
+                want = s_circular_oracle(n, k, m, limit=limit)
+                compare(n, k, m, "circular", s_circular(n, k, m), want)
 
-    # end-bit parity rule, once per (k, m, whether the first and last bits agree)
+    # end-bit parity rule, once per (k, m, whether the first and last bits
+    # agree): the histogram keys (k, m, e) of the strings that start with 0
+    # have equal ends when the last bit e is 0, as do their complements,
+    # which swap k and m
     for n in range(1, max_n + 1):
-        seen = {(k, m, v >> (n - 1) == v & 1) for v, k, m in _profiles(n, 1 << n, False)}
+        seen = {(a, b, not e) for k, m, e in _profile_histogram(n) for a, b in ((k, m), (m, k))}
         for k, m, ends in seen:
             predicted = wrap_parity_predicts_equal_ends(n, k, m)
             if ends != predicted:

@@ -153,14 +153,23 @@ class TestPrimePowerKernel:
         assert comb_calls == []
 
 
+def assert_scan_matches_strings():
+    # the bitwise scan behind the oracles, the enumerators and verify_all
+    # reads (index, k, m) of every string that starts with 0, in order
+    for n in range(1, 13):
+        strings = [b for b in (format(v, f"0{n}b") for v in range(1 << n)) if b[0] == "0"]
+        assert list(_profiles(n)) == [(int(b, 2), *linear_pair_counts(b)[1:]) for b in strings]
+
+
 class TestPairCounts:
     def test_linear_examples(self):
         assert linear_pair_counts("001010001010001") == (15, 5, 0)
         assert linear_pair_counts("00") == (2, 1, 0)
         assert linear_pair_counts("0111") == (4, 0, 2)
         assert linear_pair_counts("0") == (1, 0, 0)
-        assert list(_profiles(1, 2, False)) == [(0, 0, 0), (1, 0, 0)]
-        assert list(_profiles(2, 4, False)) == [(0, 1, 0), (1, 0, 0), (2, 0, 0), (3, 0, 1)]
+        assert list(_profiles(1)) == [(0, 0, 0)]
+        assert list(_profiles(2)) == [(0, 1, 0), (1, 0, 0)]
+        assert_scan_matches_strings()
 
     def test_returns_profile(self):
         p = linear_pair_counts("0011")
@@ -175,7 +184,10 @@ class TestPairCounts:
     def test_circular_length_two_counts_both_orderings(self):
         assert circular_pair_counts("00") == (2, 2, 0)
         assert circular_pair_counts("11") == (2, 0, 2)
-        assert list(_profiles(2, 4, True)) == [(0, 2, 0), (1, 0, 0), (2, 0, 0), (3, 0, 2)]
+        # the ring oracle reads "00" as a (2, 0) ring, its complement "11" as
+        # (0, 2), and "01" and its complement "10" as (0, 0) rings
+        assert [s_circular_oracle(2, k, m) for k, m in ((2, 0), (0, 2), (0, 0))] == [1, 1, 2]
+        assert_scan_matches_strings()
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty input"):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bitpairs import (
+    circular_pair_counts,
     enumerate_circular,
     enumerate_terquem,
     enumerate_Z,
@@ -64,6 +65,20 @@ class TestEnumerate:
             for k in range(n + 1):
                 for m in range(n + 1):
                     assert len(enumerate_circular(n, k, m)) == s_circular_oracle(n, k, m)
+
+    def test_circular_matches_strings(self):
+        # string-level ground truth for the ring rule both ring routes share:
+        # every length-n string, either leading bit, by its circular profile
+        for n in range(2, 11):
+            rings = {}
+            for v in range(1 << n):
+                b = format(v, f"0{n}b")
+                rings.setdefault(circular_pair_counts(b), []).append(b)
+            for k in range(-1, n + 2):
+                for m in range(-1, n + 2):
+                    want = sorted(rings.get((n, k, m), []))
+                    assert s_circular_oracle(n, k, m) == len(want), (n, k, m)
+                    assert enumerate_circular(n, k, m) == want, (n, k, m)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):

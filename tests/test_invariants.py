@@ -134,14 +134,10 @@ class TestEndBitParity:
         for n in range(1, 13):
             strings = list(all_strings(n))
             # the bitwise scan behind the oracles, the enumerators and
-            # verify_all must agree with the string-level definitions
-            assert list(_profiles(n, 1 << n, False)) == [
-                (v, *linear_pair_counts(b)[1:]) for v, b in enumerate(strings)
+            # verify_all reads every string that starts with 0, in order
+            assert list(_profiles(n)) == [
+                (int(b, 2), *linear_pair_counts(b)[1:]) for b in strings if b[0] == "0"
             ]
-            if n >= 2:
-                assert list(_profiles(n, 1 << n, True)) == [
-                    (v, *circular_pair_counts(b)[1:]) for v, b in enumerate(strings)
-                ]
             for b in strings:
                 _, k, m = linear_pair_counts(b)
                 predicted = wrap_parity_predicts_equal_ends(n, k, m)
