@@ -39,10 +39,10 @@ All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  Every function is a pure function of its arguments; the
 recurrences' optional caches are explicit write-once maps, so concurrent
 callers can either share a cache or use one per thread with identical
-results.  Two hidden caches never change a result: the oracles' histogram
-per n, n within the oracle limit, is a pure function of n, and the kernel's
-prime table holds every prime up to its limit, republished whole when a
-larger binomial needs more (a reader keeps its own).
+results.  Two hidden caches never change a result, and both are
+``functools.lru_cache``s of pure functions: the oracles' histogram per n,
+n within the oracle limit, and the kernel's table of the primes up to each
+power of two it has needed.  ``cache_clear()`` empties either.
 """
 
 from __future__ import annotations
@@ -121,27 +121,15 @@ def binomial(a: int, b: int) -> int:
 # math.comb) below b * b = 40 * a.
 _COMB_CUTOFF = 250
 
-# (limit, primes): every prime <= limit, ascending.  Replaced by a table with
-# at least twice the limit when a call needs more, never changed in place
-# once published, and read as one object, so a reader never pairs a new
-# limit with an old table.
-_primes = (1, array("L"))
-
-
-def _prime_table(limit: int) -> array:
-    """The primes up to at least limit, from a throwaway sieve when grown."""
-    global _primes
-    known, primes = _primes
-    if known < limit:
-        known = max(limit, 2 * known)
-        sieve = bytearray(b"\x01") * (known + 1)
-        sieve[:2] = b"\x00\x00"
-        for p in range(2, math.isqrt(known) + 1):
-            if sieve[p]:
-                sieve[p * p :: p] = bytes(len(range(p * p, known + 1, p)))
-        primes = array("L", compress(range(known + 1), sieve))
-        _primes = (known, primes)
-    return primes
+@lru_cache(maxsize=None)
+def _primes_to(limit: int) -> array:
+    """Every prime <= limit, ascending, from a throwaway sieve; callers share it."""
+    sieve = bytearray(b"\x01") * ((limit + 1) // 2)  # sieve[i] for the odd 2i + 1
+    sieve[:1] = b"\x00"
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if sieve[p // 2]:
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
+    return array("L", [2] * (limit > 1)) + array("L", compress(range(1, limit + 1, 2), sieve))
 
 
 def _product(factors: list[int]) -> int:
@@ -168,7 +156,7 @@ def _prime_power_binomial(a: int, b: int) -> int:
     """
     b = min(b, a - b)
     r = a - b
-    primes = _prime_table(a)
+    primes = _primes_to(1 << (a - 1).bit_length())  # one table per power of two
     root = math.isqrt(a)
     above = max(b, root)
     small = bisect_right(primes, root)

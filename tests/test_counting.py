@@ -5,11 +5,9 @@ import random
 import sys
 import threading
 import tracemalloc
-from array import array
 
 import pytest
 
-import bitpairs.counting
 from bitpairs import (
     MemoCache,
     PairProfile,
@@ -34,6 +32,7 @@ from bitpairs.counting import (
     _append_bits,
     _firstone_layer,
     _prime_power_binomial,
+    _primes_to,
     _profiles,
     _split_layer,
 )
@@ -66,29 +65,29 @@ class TestPrimePowerKernel:
         rng = random.Random(20261018)
         primes = [59999, 32749, 7919]
         powers = [2**15, 3**10, 7**5, 211**2, 31**3]
-        tops = primes + powers + [rng.randint(401, 60000) for _ in range(30)]
+        # each side of a table's power-of-two limit
+        edges = [2**j + d for j in (10, 13, 16) for d in (-1, 0, 1)]
+        tops = primes + powers + [rng.randint(401, 60000) for _ in range(30)] + edges
         for a in tops:
             for b in (0, 1, a // 2, a - 1, a, rng.randint(0, a), rng.randint(0, a // 50)):
                 assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
 
-    def test_any_table_growth_order(self, monkeypatch):
-        monkeypatch.setattr(bitpairs.counting, "_primes", (1, array("L")))
-        # a smaller a reuses the table; a larger one at least doubles it
-        limits = []
+    def test_any_table_growth_order(self):
+        _primes_to.cache_clear()
+        # one table per power of two touched: 8192, 512, 16384 (twice), 65536
         for a in (5000, 300, 9001, 9002, 40000):
             for b in (1, a // 3, a // 2):
                 assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
-            limits.append(bitpairs.counting._primes[0])
-        assert limits == [5000, 5000, 10000, 10000, 40000]
-        limit, primes = bitpairs.counting._primes
+        assert _primes_to.cache_info().currsize == 4
+        primes = _primes_to(2**16)
         assert list(primes) == sorted(primes)
-        assert primes[-1] <= limit
+        assert primes[-1] <= 2**16
         assert [p for p in primes if p < 1000] == [
             p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))
         ]
 
-    def test_threads_share_the_table(self, monkeypatch, fast_switching):
-        monkeypatch.setattr(bitpairs.counting, "_primes", (1, array("L")))
+    def test_threads_share_the_table(self, fast_switching):
+        _primes_to.cache_clear()
         tops = [400 * i + 401 for i in range(24)]
         want = {a: math.comb(a, a // 3) for a in tops}
         wrong = []
@@ -105,6 +104,7 @@ class TestPrimePowerKernel:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
+        assert _primes_to.cache_info().currsize == 6  # 2**9 to 2**14, once each
 
     def test_slice_ends_on_a_prime(self):
         # every bisected end -- sqrt(a), b, r / j and a / j -- lands on a prime
@@ -120,16 +120,16 @@ class TestPrimePowerKernel:
                 for b in sorted(b for b in bs if 0 <= b <= a):
                     assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
 
-    def test_math_comb_leaves_the_table_alone(self, monkeypatch):
-        table = (1, array("L"))
-        monkeypatch.setattr(bitpairs.counting, "_primes", table)
+    def test_math_comb_leaves_the_table_alone(self):
+        _primes_to.cache_clear()
         assert binomial(10**9, 3) == math.comb(10**9, 3)
         assert binomial(10**6, 15000) == math.comb(10**6, 15000)
-        assert bitpairs.counting._primes is table
+        assert _primes_to.cache_info().currsize == 0
         a = 10**6
         assert binomial(a, 3 * 10**5) > 0  # the kernel's values are pinned above
-        limit, primes = bitpairs.counting._primes
-        assert limit >= a
+        assert _primes_to.cache_info().currsize == 1
+        primes = _primes_to(2**20)  # that call's table: 2**19 < a <= 2**20
+        assert _primes_to.cache_info().currsize == 1
         # under one byte per integer up to a, what a bytearray sieve would keep
         assert sys.getsizeof(primes) < a + 1
 

@@ -17,7 +17,22 @@ from bitpairs import (
     z_auto,
     z_table,
 )
+from bitpairs.counting import _firstone_layer, _split_layer, z_closed_m0
 from bitpairs.counting import z_reduce_to_m0 as real_reduce
+
+
+def _plus_one_at_5_1_1(layer):
+    def broken(n, k, m):
+        grid = layer(n, k, m)
+        if n == 5:
+            grid[1][1] += 1
+        return grid
+
+    return broken
+
+
+def _plus_one_at(point, f):
+    return lambda *args: f(*args) + (args == point)
 
 
 class TestZTable:
@@ -233,6 +248,26 @@ class TestVerifyAll:
         assert report.mismatches == (Mismatch(5, 1, 1, "reduce", 999, 2),)
         assert "FAIL: 1 mismatches" in report.summary()
         assert "reduce at (n=5, k=1, m=1): got 999, expected 2" in report.summary()
+
+    @pytest.mark.parametrize(
+        "name, broken, expected",
+        [
+            ("_split_layer", _plus_one_at_5_1_1(_split_layer),
+             [Mismatch(5, 1, 1, "split", 3, 2)]),
+            ("_firstone_layer", _plus_one_at_5_1_1(_firstone_layer),
+             [Mismatch(5, 1, 1, "first-one", 3, 2)]),
+            ("z_auto", _plus_one_at((5, 1, 1), z_auto), [Mismatch(5, 1, 1, "auto", 3, 2)]),
+            ("z_auto", _plus_one_at((5, 0, 2), z_auto),
+             [Mismatch(5, 0, 2, "auto", 2, 1), Mismatch(5, 0, 2, "column-collapse", 2, 1)]),
+            ("z_closed_m0", _plus_one_at((5, 1), z_closed_m0),
+             [Mismatch(5, 1, 0, "closed", 3, 2)]),
+        ],
+        ids=["split", "first-one", "auto", "auto-and-collapse", "closed"],
+    )
+    def test_fault_injection_each_linear_check(self, monkeypatch, name, broken, expected):
+        monkeypatch.setattr(bitpairs.tables, name, broken)
+        report = verify_all(6, "linear")
+        assert report.mismatches == tuple(expected)
 
     def test_fault_injection_circular(self, monkeypatch):
         monkeypatch.setattr(
