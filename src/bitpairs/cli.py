@@ -7,11 +7,17 @@ mismatches, 2 on usage or domain errors (reported as one line on stderr).
 All output is newline-terminated, decimal and locale-free, with every digit
 of every count printed, however many there are.
 
-The parser is built once per process, on the first call of `run`, and
-reused: argparse keeps no parse state on it, so no call sees another's
-arguments, and importing this module builds nothing.  Only `counting` is
-imported with this module; each subcommand imports `tables` or
-`enumeration` when it runs, so a `count` process loads neither.
+`run` parses only the subcommand it runs.  When the first argument names
+one, that subcommand's own parser reads the rest.  It is built on first use
+and cached, one per subcommand; argparse keeps no parse state on it, so no
+call sees another's arguments.  It is built from the same table entry, with
+the same prog, as the subparser that `build_parser` hangs under `bitpairs`,
+so its help, messages and exit codes are the nested route's.  The full
+parser is built only for the calls that name no subcommand: no argument,
+`--help`, an unknown command or a leading option.  Importing this module
+builds nothing.  Only `counting` is imported with this module; each
+subcommand imports `tables` or `enumeration` when it runs, so a `count`
+process loads neither.
 
 Calls of `run` must not overlap across threads.  Each call lifts CPython's
 int <-> str digit limit and restores it when it returns, and that limit is
@@ -151,75 +157,103 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_limit(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--oracle-limit",
+        type=_nonneg,
+        default=DEFAULT_ORACLE_LIMIT,
+        help=f"max n for exhaustive enumeration (default {DEFAULT_ORACLE_LIMIT})",
+    )
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_nonneg, required=True, help="string length")
+    p.add_argument("--k", type=_nonneg, required=True, help="number of 0-pairs")
+    p.add_argument("--m", type=_nonneg, required=True, help="number of 1-pairs")
+    p.add_argument("--circular", action="store_true", help="wraparound adjacency")
+    p.add_argument("--method", choices=METHODS, default="auto")
+    _add_limit(p)
+
+
+def _table_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_nonneg, required=True)
+    p.add_argument("--circular", action="store_true")
+    p.add_argument("--format", choices=Z_TABLE_FORMATS, default="csv")
+    p.add_argument("--out", default=None, help="write to a file instead of stdout")
+
+
+def _triangle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--rows", type=_nonneg, required=True)
+    p.add_argument("--format", choices=TRIANGLE_FORMATS, default="csv")
+    p.add_argument("--out", default=None, help="write to a file instead of stdout")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--max-n", type=_nonneg, required=True, dest="max_n")
+    p.add_argument("--mode", choices=VERIFY_MODES, default="both")
+    _add_limit(p)
+
+
+def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=_nonneg, required=True)
+    p.add_argument("--k", type=_nonneg, required=True)
+    p.add_argument("--m", type=_nonneg, required=True)
+    p.add_argument("--circular", action="store_true")
+    _add_limit(p)
+
+
+def _bijection_arguments(p: argparse.ArgumentParser) -> None:
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--string", default=None, help="string to map to positions")
+    group.add_argument("--sequence", default=None, help="comma-separated positions to map back")
+    p.add_argument("--n", type=_nonneg, default=None, help="target length (with --sequence)")
+
+
+# subcommand -> (help line, add-arguments function, handler), in help order
+_COMMANDS = {
+    "count": ("print one exact count", _count_arguments, _cmd_count),
+    "table": ("all counts for one length as a table", _table_arguments, _cmd_table),
+    "triangle": ("rows of the A046854 triangle", _triangle_arguments, _cmd_triangle),
+    "verify": ("cross-check all methods against the oracles", _verify_arguments, _cmd_verify),
+    "enumerate": ("list the counted strings, one per line", _enumerate_arguments, _cmd_enumerate),
+    "bijection": ("map a 1-pair-free string to its 0-pair positions, or back",
+                  _bijection_arguments, _cmd_bijection),
+}
+
+
+def _add_command(p: argparse.ArgumentParser, command: str) -> None:
+    _, add_arguments, func = _COMMANDS[command]
+    add_arguments(p)
+    p.set_defaults(func=func, command=command)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every subcommand under `bitpairs`."""
     parser = _Parser(
         prog="bitpairs",
         description="Count and enumerate binary strings by their adjacent "
         "0-pair and 1-pair statistics, linear or circular.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_limit(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--oracle-limit",
-            type=_nonneg,
-            default=DEFAULT_ORACLE_LIMIT,
-            help=f"max n for exhaustive enumeration (default {DEFAULT_ORACLE_LIMIT})",
-        )
-
-    p = sub.add_parser("count", help="print one exact count")
-    p.add_argument("--n", type=_nonneg, required=True, help="string length")
-    p.add_argument("--k", type=_nonneg, required=True, help="number of 0-pairs")
-    p.add_argument("--m", type=_nonneg, required=True, help="number of 1-pairs")
-    p.add_argument("--circular", action="store_true", help="wraparound adjacency")
-    p.add_argument("--method", choices=METHODS, default="auto")
-    add_limit(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("table", help="all counts for one length as a table")
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--circular", action="store_true")
-    p.add_argument("--format", choices=Z_TABLE_FORMATS, default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("triangle", help="rows of the A046854 triangle")
-    p.add_argument("--rows", type=_nonneg, required=True)
-    p.add_argument("--format", choices=TRIANGLE_FORMATS, default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_triangle)
-
-    p = sub.add_parser("verify", help="cross-check all methods against the oracles")
-    p.add_argument("--max-n", type=_nonneg, required=True, dest="max_n")
-    p.add_argument("--mode", choices=VERIFY_MODES, default="both")
-    add_limit(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("enumerate", help="list the counted strings, one per line")
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--k", type=_nonneg, required=True)
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.add_argument("--circular", action="store_true")
-    add_limit(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("bijection", help="map a 1-pair-free string to its 0-pair positions, or back")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--string", default=None, help="string to map to positions")
-    group.add_argument("--sequence", default=None, help="comma-separated positions to map back")
-    p.add_argument("--n", type=_nonneg, default=None, help="target length (with --sequence)")
-    p.set_defaults(func=_cmd_bijection)
-
+    for command, (help_line, _, _) in _COMMANDS.items():
+        _add_command(sub.add_parser(command, help=help_line), command)
     return parser
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
+def _parser(command: str) -> argparse.ArgumentParser:
+    # what build_parser's subparser for `command` is, standing alone
+    parser = _Parser(prog=f"bitpairs {command}")
+    _add_command(parser, command)
+    return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
-    parser = _parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in _COMMANDS:
+        parser, argv = _parser(argv[0]), argv[1:]
+    else:  # no argument, help, an option or an unknown command
+        parser = build_parser()
     # Counts are exact at any size, so lift CPython's cap on int <-> decimal
     # conversion (4300 digits by default, where it exists) for this command only.
     set_digits = getattr(sys, "set_int_max_str_digits", None)

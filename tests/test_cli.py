@@ -240,7 +240,9 @@ class TestUsageErrors:
 
 
 class TestParserReuse:
-    """One parser serves every call in a process; no call sees another's."""
+    """Each subcommand's parser is built once per process and serves every call
+    of it; no call sees another's arguments.  The full parser is built only for
+    calls that name no subcommand."""
 
     SEQUENCE = [
         ("count", "--n", "8", "--k", "2", "--m", "2", "--circular"),
@@ -249,6 +251,8 @@ class TestParserReuse:
         ("bijection", "--string", "0010", "--sequence", "1,3"),
         ("count", "--n", "0", "--k", "0", "--m", "0"),
         ("--help",),
+        ("frobnicate", "--n", "1"),
+        ("bijection", "--string", "0010"),
         ("count", "--n", "8", "--k", "2", "--m", "2", "--circular"),
     ]
 
@@ -257,7 +261,7 @@ class TestParserReuse:
         for argv in self.SEQUENCE:
             bitpairs.cli._parser.cache_clear()
             alone.append(invoke(capsys, *argv))
-        assert [code for code, _, _ in alone] == [0, 2, 2, 2, 2, 0, 0]
+        assert [code for code, _, _ in alone] == [0, 2, 2, 2, 2, 0, 2, 0, 0]
 
         builds = []
         build = bitpairs.cli.build_parser
@@ -277,15 +281,74 @@ class TestParserReuse:
                 limit = digit_limit()
                 assert invoke(capsys, *argv) == want, argv
                 assert digit_limit() == limit, argv
+            info = bitpairs.cli._parser.cache_info()
         finally:
             if set_digits is not None:
                 set_digits(before)
             bitpairs.cli._parser.cache_clear()
-        assert len(builds) == 1
+        # one parser each for count and bijection; the full one for --help and frobnicate
+        assert (info.misses, info.currsize) == (2, 2)
+        assert len(builds) == 2
 
     def test_import_builds_no_parser(self, tmp_path):
         probe = "import bitpairs.cli as c; print(c._parser.cache_info().currsize)"
         assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "0\n", "")
+
+    def test_count_process_builds_one_parser(self, tmp_path):
+        # a fresh interpreter's one count: one parser, cached under "count"
+        # (asking for it again is a hit), and no full parser
+        probe = """\
+import bitpairs.cli as c
+build, builds = c.build_parser, []
+c.build_parser = lambda: builds.append(1) or build()
+c.run(["count", "--n", "8", "--k", "2", "--m", "2"])
+after_run = c._parser.cache_info()
+c._parser("count")
+again = c._parser.cache_info()
+print(after_run.misses, after_run.currsize, again.hits, again.currsize, len(builds))
+"""
+        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "9\n1 1 1 1 0\n", "")
+
+
+def nested(capsys, *argv):
+    """(exit code, stdout, stderr) when the full parser reads `argv`: the
+    subcommand's arguments parsed by its subparser under `bitpairs`."""
+    parser = bitpairs.cli.build_parser()
+    try:
+        args = parser.parse_args(list(argv))
+        code = args.func(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        code = 2
+    except SystemExit:  # --help
+        code = 0
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# help, parse errors and the corners of argparse that differ between Python
+# versions: abbreviations, `--n=5`, repeats, `--` and the exclusive group
+NESTED_CORPUS = [
+    "", "--help", "-h", "--", "frobnicate", "frobnicate --n 1", "--n 5",
+    "-- count --n 5 --k 1 --m 1", "count -- --n 5 --k 1 --m 1", "count --n 5 --k 1 --m 1 --",
+    "count -h", "table -h", "triangle -h", "verify -h", "enumerate -h", "bijection -h",
+    "count --n 8 --k 2 --m 2 -h", "count --he",
+    "count", "count --n 8 --k 2", "verify", "count --n x --k 2 --m 2", "count --n -8 --k 2 --m 2",
+    "count --n 8 --k 2 --m 2 --method bogus", "table --n 4 --format xml",
+    "triangle --rows 4 --format bogus", "verify --max-n 3 --mode spiral",
+    "count --n 8 --k 2 --m 2 --frobnicate", "count --frobnicate", "count --n 8 --k 2 --m 2 extra",
+    "count --n=5 --k=1 --m=1", "count --n 8 --k 2 --m 2 --circ", "verify --max 3",
+    "count --n 5 --n 8 --k 2 --m 2", "count --n 8 --k 2 --m 2 --method oracle --oracle 21",
+    "count --n 0 --k 0 --m 0", "table --n 4 --circular", "triangle --rows 4",
+    "enumerate --n 6 --k 2 --m 1", "bijection", "bijection --string 0010 --sequence 1,3",
+    "bijection --str 0010", "bijection --s 0010", "bijection --sequence 1,3 --n 7",
+]
+
+
+@pytest.mark.parametrize("argv", NESTED_CORPUS)
+def test_run_matches_nested_parser(capsys, argv):
+    want = mask_elapsed(nested(capsys, *argv.split()))
+    assert mask_elapsed(invoke(capsys, *argv.split())) == want
 
 
 class TestOracleLimitPlumbing:
