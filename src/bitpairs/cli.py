@@ -19,11 +19,18 @@ builds nothing.  Only `counting` is imported with this module; each
 subcommand imports `tables` or `enumeration` when it runs, so a `count`
 process loads neither.
 
-Calls of `run` must not overlap across threads.  Each call lifts CPython's
-int <-> str digit limit and restores it when it returns, and that limit is
-process-wide, like the `sys.stdout` and `sys.stderr` it writes to: a call
-that returns while another runs puts the limit back under it, and the other
-can then fail on a count beyond 4300 digits or restore a lifted limit.
+`run` changes no interpreter-wide setting, so calls may overlap across
+threads as far as the package goes (each writes to the process's one
+`sys.stdout` and `sys.stderr`).  Counts of any size print through
+`counting.decimal_digits`, which needs no lifted int <-> str digit limit.
+
+A closed stdout ends a command-line process quietly, as it ends any Unix
+filter: `main`, behind the console script and `python -m bitpairs`,
+restores the default SIGPIPE action where the platform has one, so
+`bitpairs enumerate ... | head -1` prints its line and the process dies of
+SIGPIPE (status 141 in a shell) with nothing on stderr.  `run` installs no
+handler: called in-process, or where there is no SIGPIPE, it reports a
+failed write like any OSError, one line on stderr and status 2.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .counting import (
     VERIFY_MODES,
     Z_TABLE_FORMATS,
     _check_length,
+    decimal_digits,
     s_circular,
     s_circular_oracle,
     z_auto,
@@ -95,7 +103,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     else:
         route = _ROUTES[method]
         value = s_circular(n, k, m, z=route) if args.circular else route(n, k, m)
-    print(value)
+    print(decimal_digits(value))
     return 0
 
 
@@ -254,12 +262,6 @@ def run(argv: Optional[list[str]] = None) -> int:
         parser, argv = _parser(argv[0]), argv[1:]
     else:  # no argument, help, an option or an unknown command
         parser = build_parser()
-    # Counts are exact at any size, so lift CPython's cap on int <-> decimal
-    # conversion (4300 digits by default, where it exists) for this command only.
-    set_digits = getattr(sys, "set_int_max_str_digits", None)
-    if set_digits is not None:
-        old_digits = sys.get_int_max_str_digits()
-        set_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.func(args)
@@ -268,12 +270,13 @@ def run(argv: Optional[list[str]] = None) -> int:
         return 2
     except SystemExit:  # only --help exits; every parse error raises ValueError
         return 0
-    finally:
-        if set_digits is not None:
-            set_digits(old_digits)
 
 
 def main() -> None:
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process quietly
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run())
 
 

@@ -36,10 +36,16 @@ The recurrences' step runs bottom-up over n on two grids of the query's
 (k + 1) x (m + 1) cells, so their memory is bounded.
 
 All counts are exact Python ints, so no n within reach of the fast methods
-overflows.  Every function is a pure function of its arguments; the
-recurrences' optional caches are explicit write-once maps, so concurrent
-callers can either share a cache or use one per thread with identical
-results.  Two hidden caches never change a result, and both are
+overflows.  :func:`decimal_digits` is the one place a count becomes decimal
+text, for every command and rendering: ``str()`` while the interpreter's
+int -> str digit limit allows it, and beyond that a divide-and-conquer
+conversion in the C ``decimal`` module, imported on that path only, so a
+process that prints only small counts never loads it.
+
+Every function is a pure function of its arguments; the recurrences'
+optional caches are explicit write-once maps, so concurrent callers can
+either share a cache or use one per thread with identical results.  Two
+hidden caches never change a result, and both are
 ``functools.lru_cache``s of pure functions: the oracles' histogram per n,
 n within the oracle limit, and the kernel's table of the primes up to each
 power of two it has needed.  ``cache_clear()`` empties either.
@@ -51,7 +57,7 @@ import math
 from array import array
 from bisect import bisect_right
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -172,6 +178,41 @@ def _prime_power_binomial(a: int, b: int) -> int:
     for j in range(1, a // (above + 1) + 1):
         factors += primes[bisect_right(primes, max(r // j, above)) : bisect_right(primes, a // j)]
     return _product(factors)
+
+
+def decimal_digits(value: int) -> str:
+    """``str(value)`` for an exact int of any size: the decimal text of every printed count.
+
+    When ``str`` refuses a value for having more digits than the
+    interpreter's int -> str limit allows (4300 by default), the value is
+    split at bit s into hi * 2**s + lo, both halves are converted alike down
+    to leaves of at most 14000 bits, and the parts are recombined in the C
+    ``decimal`` module (``_decimal``, libmpdec), whose big products use a
+    number-theoretic transform and which no digit limit applies to.
+    CPython 3.12's ``Lib/_pylong.py`` converts by the same idea.  The
+    context holds any such int exactly and traps Rounded, which every
+    Inexact also signals, so a lost digit raises.  ``_decimal`` is imported
+    on that path only.  Where it is missing, the value is refused with
+    ``str``'s own ValueError: pure-Python decimal arithmetic at this
+    precision would not finish.  No interpreter setting is read or changed.
+    """
+    try:
+        return str(value)
+    except ValueError as refused:  # more digits than the int -> str limit allows
+        try:
+            import _decimal as decimal
+        except ImportError:
+            raise refused from None
+    ctx = decimal.Context(decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Rounded])
+    power = lru_cache(maxsize=None)(partial(ctx.power, 2))  # 2**s, once per split size s
+
+    def convert(v: int, bits: int) -> decimal.Decimal:
+        if bits <= 14000:
+            return decimal.Decimal(v)
+        s = bits // 2
+        return ctx.fma(convert(v >> s, bits - s), power(s), convert(v & ((1 << s) - 1), s))
+
+    return str(convert(value, value.bit_length()))
 
 
 def _require_bits(b: str) -> None:

@@ -3,7 +3,8 @@
 Rendering conventions, chosen so output survives text round-trips and can be
 diffed byte-for-byte:
 
-* numbers are decimal with no separators (counts are arbitrary-precision);
+* numbers are decimal with no separators, every count in full at any size
+  (counts are arbitrary-precision; see ``counting.decimal_digits``);
 * lines end with LF; every rendering ends with a trailing newline;
 * zero cells are kept: the zero pattern (boundary and parity) is itself one
   of the claims the suite tests;
@@ -29,6 +30,7 @@ from .counting import (
     _firstone_layer,
     _profile_histogram,
     _split_layer,
+    decimal_digits,
     s_circular,
     s_circular_oracle,
     terquem_T,
@@ -86,13 +88,13 @@ def render_z_table(n: int, mode: str = "linear", fmt: str = "csv") -> str:
         # the bytes of json.dumps(records, indent=1) for these all-int records,
         # without the pure-Python encoder
         records = ",\n".join(
-            f' {{\n  "n": {n},\n  "k": {k},\n  "m": {m},\n  "count": {c}\n }}'
+            f' {{\n  "n": {n},\n  "k": {k},\n  "m": {m},\n  "count": {decimal_digits(c)}\n }}'
             for k, m, c in table.cells
         )
         return f"[\n{records}\n]\n"
     sep = _SEPARATORS[fmt]
     lines = [sep.join(_HEADER)]
-    lines += [sep.join((str(n), str(k), str(m), str(c))) for k, m, c in table.cells]
+    lines += [sep.join((str(n), str(k), str(m), decimal_digits(c))) for k, m, c in table.cells]
     return "\n".join(lines) + "\n"
 
 
@@ -156,7 +158,7 @@ def render_terquem_triangle(rows: int, fmt: str = "csv") -> str:
     if rows < 1:
         raise ValueError(f"rows must be >= 1, got {rows}")
     _check_choice("format", fmt, TRIANGLE_FORMATS)
-    entries = [(n, k, terquem_T(n, k)) for n in range(rows) for k in range(n + 1)]
+    entries = [(n, k, decimal_digits(terquem_T(n, k))) for n in range(rows) for k in range(n + 1)]
     if fmt == "csv":
         lines = ["n,k,T"] + [f"{n},{k},{t}" for n, k, t in entries]
     else:
@@ -201,7 +203,8 @@ class VerifyReport(NamedTuple):
         )
         lines = [head]
         lines += [
-            f"  {w.method} at (n={w.n}, k={w.k}, m={w.m}): got {w.got}, expected {w.expected}"
+            f"  {w.method} at (n={w.n}, k={w.k}, m={w.m}): "
+            f"got {decimal_digits(w.got)}, expected {decimal_digits(w.expected)}"
             for w in self.mismatches
         ]
         return "\n".join(lines)

@@ -14,3 +14,19 @@ def fast_switching():
         yield
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def unlimited_str():
+    """str() of an int with the int -> str digit limit lifted for that call only:
+    the tests' reference for counts of any size."""
+
+    def convert(value):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(value)
+        finally:
+            sys.set_int_max_str_digits(before)
+
+    return convert

@@ -4,8 +4,10 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -200,6 +202,59 @@ class TestBeyondDigitLimit:
         code, out, err = invoke(capsys, "table", "--n", "2", "--format", "json")
         assert (code, err) == (0, "")
         assert out.count(decimal(big)) == 4
+
+    def test_limit_never_set(self, capsys, monkeypatch):
+        # a count, a faked table cell and a failing verify's got field, each
+        # over 4300 digits, print in full while setting the limit raises
+        count = decimal(z_auto(22000, 9000, 2)) + "\n"
+        big = 10**5000 + 7
+        text = decimal(big)
+        before = digit_limit()
+
+        def refuse(limit):
+            raise AssertionError(f"the int <-> str digit limit was set to {limit}")
+
+        monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+        assert invoke(capsys, "count", "--n", "22000", "--k", "9000", "--m", "2") == (0, count, "")
+        monkeypatch.setattr(bitpairs.tables, "z_auto", lambda n, k, m: big)
+        code, out, err = invoke(capsys, "table", "--n", "2", "--format", "json")
+        assert (code, err, out.count(text)) == (0, "", 4)
+        code, out, err = invoke(capsys, "verify", "--max-n", "2", "--mode", "linear")
+        assert (code, err) == (1, "")
+        assert out.startswith("FAIL: ")
+        assert f"  auto at (n=1, k=0, m=0): got {text}, expected 1\n" in out
+        assert digit_limit() == before
+
+    def test_lowest_limit_process(self, tmp_path):
+        # the interpreter's lowest limit, 640 digits, set for the whole process
+        argv = ["count", "--n", "22000", "--k", "9000", "--m", "2"]
+        command = [sys.executable, "-X", "int_max_str_digits=640", "-m", "bitpairs", *argv]
+        assert spawn(command, tmp_path) == (0, decimal(z_auto(22000, 9000, 2)) + "\n", "")
+
+    def test_overlapping_calls(self, capsys, fast_switching):
+        # two threads through one stdout: 4583-digit counts beside small ones
+        before = digit_limit()
+        big, small = decimal(z_auto(22000, 9000, 2)), str(z_auto(8, 2, 2))
+        codes = []
+
+        def calls(times, *argv):
+            for _ in range(times):
+                codes.append(run(list(argv)))
+
+        threads = [
+            threading.Thread(target=calls, args=(40, "count", "--n", "22000", "--k", "9000", "--m", "2")),
+            threading.Thread(target=calls, args=(4000, "count", "--n", "8", "--k", "2", "--m", "2")),
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads)
+        out, err = capsys.readouterr()
+        assert (len(codes), set(codes), err) == (4040, {0}, "")
+        # each count is one write, its newline another, so lines may interleave
+        assert (out.count(big), len(out)) == (40, 40 * len(big) + 4000 * len(small) + 4040)
+        assert digit_limit() == before
 
 
 class TestUsageErrors:
@@ -541,12 +596,16 @@ def declared_script(name):
     raise AssertionError(f"no {name!r} entry in [project.scripts] of {PYPROJECT}")
 
 
-def spawn(argv, cwd):
-    """Run `argv` as its own process with this checkout's package first on the path."""
+def checkout_env():
+    """The environment with this checkout's package first on the path."""
     import_root = str(Path(bitpairs.__file__).resolve().parents[1])
     path = [import_root, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run(argv, cwd=cwd, env=env, capture_output=True, text=True)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+
+def spawn(argv, cwd):
+    """Run `argv` as its own process with this checkout's package first on the path."""
+    proc = subprocess.run(argv, cwd=cwd, env=checkout_env(), capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -581,6 +640,12 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
         assert "bitpairs.tables" in added
         assert not added & {"json", "csv"}
 
+    def test_decimal_only_past_the_digit_limit(self, tmp_path):
+        # a small count prints with str(); the 4583-digit one needs _decimal
+        small = self.added(tmp_path, "count", "--n", "8", "--k", "2", "--m", "2")
+        assert not small & {"decimal", "_decimal"}
+        assert "_decimal" in self.added(tmp_path, "count", "--n", "22000", "--k", "9000", "--m", "2")
+
     def test_package_import(self, tmp_path):
         probe = (
             "import sys; before = set(sys.modules); import bitpairs; "
@@ -590,6 +655,19 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
 
 
 class TestConsoleScript:
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # `| head -1`: the reader takes one line and closes the pipe while
+        # over 300 KB are still to come, more than a pipe and its buffers hold
+        argv = ["enumerate", "--n", "18", "--k", "4", "--m", "4", "--circular"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bitpairs", *argv], cwd=tmp_path, env=checkout_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (first, proc.returncode, err) == (b"000001010101011111\n", -signal.SIGPIPE, b"")
+
     def test_run_as_module_without_warnings(self, tmp_path):
         # runpy warns when the module it runs is already imported, e.g. by the package
         args = ["count", "--n", "8", "--k", "2", "--m", "2", "--circular"]

@@ -35,6 +35,7 @@ from bitpairs.counting import (
     _primes_to,
     _profiles,
     _split_layer,
+    decimal_digits,
 )
 
 
@@ -159,6 +160,42 @@ def assert_scan_matches_strings():
     for n in range(1, 13):
         strings = [b for b in (format(v, f"0{n}b") for v in range(1 << n)) if b[0] == "0"]
         assert list(_profiles(n)) == [(int(b, 2), *linear_pair_counts(b)[1:]) for b in strings]
+
+
+@pytest.fixture
+def lowest_digit_limit():
+    """The interpreter's lowest int -> str digit limit, 640, for one test, so
+    decimal_digits converts every value from 641 digits on by itself."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+class TestDecimalDigits:
+    """decimal_digits(v) == str(v) on both paths: str() below the limit, and
+    the conversion in the decimal module, whose leaves hold at most 14000 bits,
+    above it."""
+
+    def test_edges(self, lowest_digit_limit, unlimited_str):
+        # the 640-digit limit, then the leaf size and its doubles, each
+        # approached from both sides
+        around = [b + d for b in (14000, 28000, 56000) for d in (-1, 0, 1)]
+        exponents = [640, 641, 642] + [int(b * math.log10(2)) + d for b in around for d in (-1, 0, 1)]
+        values = [0, 1, -1, 2**2126, -(10**5000) - 7]
+        values += [10**j + d for j in exponents for d in (-1, 0, 1)]
+        values += [2**j - 1 for j in [2126, 2127] + around]
+        for v in values:
+            assert decimal_digits(v) == unlimited_str(v), v.bit_length()
+
+    def test_seeded_random(self, lowest_digit_limit, unlimited_str):
+        rng = random.Random(20261019)
+        # bit lengths log-uniform from 2**11 to 2**18, then one of 600000
+        lengths = [int(2 ** rng.uniform(11, 18)) for _ in range(8)] + [600000]
+        for v in (rng.getrandbits(bits) | 1 << (bits - 1) for bits in lengths):
+            assert decimal_digits(v) == unlimited_str(v), v.bit_length()
 
 
 class TestPairCounts:

@@ -7,6 +7,7 @@ import pytest
 import bitpairs.tables
 from bitpairs import (
     Mismatch,
+    VerifyReport,
     linear_pair_counts,
     parse_z_table,
     render_terquem_triangle,
@@ -193,6 +194,36 @@ class TestTriangle:
             render_terquem_triangle(0, "csv")
         with pytest.raises(ValueError, match="supported: csv, bfile"):
             render_terquem_triangle(3, "json")
+
+
+class TestBeyondDigitLimit:
+    """Library calls render counts past the interpreter's int -> str digit
+    limit (4300 by default) in full, with no CLI around them and the limit
+    left as it is.  No real table, triangle or report reaches that size
+    quickly, so the counts are faked."""
+
+    BIG = 10**5000 + 7
+
+    @pytest.fixture
+    def text(self, unlimited_str):
+        # str() alone refuses BIG under the limit in force
+        with pytest.raises(ValueError):
+            str(self.BIG)
+        return unlimited_str(self.BIG)
+
+    def test_table(self, monkeypatch, text):
+        monkeypatch.setattr(bitpairs.tables, "z_auto", lambda n, k, m: self.BIG)
+        for fmt in ("csv", "tsv", "json"):
+            assert render_z_table(2, "linear", fmt).count(text) == 4, fmt
+
+    def test_triangle(self, monkeypatch, text):
+        monkeypatch.setattr(bitpairs.tables, "terquem_T", lambda n, k: self.BIG)
+        assert render_terquem_triangle(2, "csv").count(text) == 3
+        assert render_terquem_triangle(2, "bfile") == f"1 {text}\n2 {text}\n3 {text}\n"
+
+    def test_verify_summary(self, text):
+        report = VerifyReport(1, "linear", ("auto",), 1, (Mismatch(1, 0, 0, "auto", self.BIG, 1),), 0.0)
+        assert report.summary().endswith(f"\n  auto at (n=1, k=0, m=0): got {text}, expected 1")
 
 
 class TestVerifyAll:
