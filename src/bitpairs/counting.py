@@ -11,10 +11,11 @@ Conventions used throughout the package:
   with exactly k 0-pairs and m 1-pairs under circular adjacency.
 
 z is computed by six routes that the test-suite cross-checks against each
-other.  They are not six independent derivations: the two recurrences run
-one shared append-a-bit step (:func:`_append_bits`) and differ only in seed
-and readout; the reduction answers the m = 0 column with the closed form;
-and those two and the runs count take every binomial from :func:`binomial`.
+other.  They are not six independent derivations: the two recurrences are
+one stepped transfer pass (:func:`_transfer`) seeded two ways, each with its
+readout (:func:`_z_layer`); the reduction answers the m = 0 column with the
+closed form; and those two and the runs count take every binomial from
+:func:`binomial`.
 
 * :func:`z_oracle` -- exhaustive scan of every string, the ground truth;
 * :func:`z_recur_split` -- recurrence on the last bit;
@@ -32,15 +33,18 @@ the complement of one that starts with 0, with k and m swapped.
 :func:`linear_pair_counts` and :func:`circular_pair_counts` remain the
 string-level definitions the scan and the rings are tested against.
 
-The recurrences' step runs bottom-up over n on two grids of the query's
-(k + 1) x (m + 1) cells, so their memory is bounded.
+The transfer pass steps bottom-up over n on two grids of the query's
+(k + 1) x (m + 1) cells, one per last bit, so the recurrences' memory is
+bounded; a recurrence reads the layer at its n, and ``verify_all`` reads
+every layer of one pass per seed.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  :func:`decimal_digits` is the one place a count becomes decimal
 text, for every command and rendering: ``str()`` while the interpreter's
 int -> str digit limit allows it, and beyond that a divide-and-conquer
 conversion in the C ``decimal`` module, imported on that path only, so a
-process that prints only small counts never loads it.
+process that prints only small counts never loads it.  :func:`decimal_int`
+is its inverse, with which tables are read back.
 
 Every function is a pure function of its arguments; the recurrences'
 optional caches are explicit write-once maps, so concurrent callers can
@@ -58,7 +62,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache, partial
-from itertools import compress
+from itertools import compress, islice, product
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -215,6 +219,29 @@ def decimal_digits(value: int) -> str:
     return str(convert(value, value.bit_length()))
 
 
+def decimal_int(text: str) -> int:
+    """``int(text)`` for decimal text of any size: the inverse of :func:`decimal_digits`.
+
+    Whatever ``int`` accepts it reads.  When ``int`` refuses a plain run of
+    ASCII digits, with an optional leading "-", it can only be for the
+    interpreter's int <-> str digit limit, and the ``decimal`` module reads
+    it instead: ``int(Decimal(text))`` in the C module is exact and no
+    digit limit applies to it.  Where only the pure-Python module exists,
+    it converts through ``int(str)`` and so raises the same ValueError as
+    ``int``.  Other text keeps ``int``'s own ValueError.  No interpreter
+    setting is read or changed.  Like ``int(str)`` on CPython 3.11, the
+    conversion takes time quadratic in the digits.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise
+    import decimal
+
+    return int(decimal.Decimal(text))
+
+
 def _require_bits(b: str) -> None:
     if not b:
         raise ValueError("empty input")
@@ -368,76 +395,69 @@ def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIM
 # ---------------------------------------------------------------------------
 
 
-def _append_bits(steps: int, end0: _Grid, end1: _Grid) -> tuple[_Grid, _Grid]:
-    """Append a bit ``steps`` times; the input grids are left unchanged.
+def _transfer(k: int, m: int, from_one: bool) -> Iterator[tuple[_Grid, _Grid]]:
+    """The last-bit transfer pass: (end0, end1) at lengths 1, 2, 3, ...
 
+    The strings grow from "0", and also from "1" when ``from_one``.
     end0[a][b] and end1[a][b] count the strings of the current length with
-    profile (a, b) that end in 0 and in 1.  A 0 adds a 0-pair after a 0, and
-    a 1 a 1-pair after a 1: end0'[a][b] = end0[a-1][b] + end1[a][b] and
-    end1'[a][b] = end0[a][b] + end1[a][b-1].
+    profile (a, b), 0 <= a <= k, 0 <= b <= m, that end in 0 and in 1.  Each
+    step appends a bit: a 0 adds a 0-pair after a 0, and a 1 a 1-pair after
+    a 1, so end0'[a][b] = end0[a-1][b] + end1[a][b] and
+    end1'[a][b] = end0[a][b] + end1[a][b-1].  Every step builds new grids
+    from the ones it yielded, so those must not be changed in place.
     """
-    zero = [0] * len(end0[0])
-    for _ in range(steps):
+    zero = [0] * (m + 1)
+    end0 = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
+    end1 = end0 if from_one else [zero] * (k + 1)
+    while True:
+        yield end0, end1
         end0, end1 = (
             [list(map(add, up0, row1)) for up0, row1 in zip([zero, *end0], end1)],
             [list(map(add, row0, (0, *row1[:-1]))) for row0, row1 in zip(end0, end1)],
         )
-    return end0, end1
 
 
-def _one_bit(k: int, m: int) -> _Grid:
-    return [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
+def _z_layer(end0: _Grid, end1: _Grid, from_one: bool) -> _Grid:
+    """z(n, a, b) on the grid, from :func:`_transfer`'s grids at length n.
 
-
-def _split_layer(n: int, k: int, m: int) -> _Grid:
-    """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the last-bit split, n >= 1.
-
-    n-1 bits appended to "0"; z sums the two end-bit grids.
+    Grown from "0" alone (the last-bit split), z sums the two end-bit grids.
+    Grown from both one-bit strings (first-one), z is end0: w(L, a, b) =
+    z(L, b, a) counts the length-L strings that start with 1, by complement.
+    At length L, p[a][b] is the diagonal sum of w(L-i, a-i, b) over i >= 0,
+    which is z(L+1, a, b): i+1 leading 0s, then a string that starts with 1
+    or is empty.  Likewise q[a][b], the diagonal sum of z(L-i, a, b-i), is
+    w(L+1, a, b).  By reversal, p and q count all strings of length L+1,
+    either leading bit, that end in 0 and in 1, so they step as end0 and
+    end1 do, seeded at L = 0 with both one-bit strings; p is z.
     """
-    end0, end1 = _append_bits(n - 1, _one_bit(k, m), [[0] * (m + 1)] * (k + 1))
+    if from_one:
+        return end0
     return [list(map(add, row0, row1)) for row0, row1 in zip(end0, end1)]
 
 
-def _firstone_layer(n: int, k: int, m: int) -> _Grid:
-    """z(n, a, b) for 0 <= a <= k, 0 <= b <= m by the first-1 position sum, n >= 1.
-
-    w(L, a, b) = z(L, b, a) counts the length-L strings that start with 1, by
-    complement.  At length L, p[a][b] is the diagonal sum of w(L-i, a-i, b)
-    over i >= 0, which is z(L+1, a, b): i+1 leading 0s, then a string that
-    starts with 1 or is empty.  Likewise q[a][b], the diagonal sum of
-    z(L-i, a, b-i), is w(L+1, a, b).  By reversal, p and q count all strings
-    of length L+1, either leading bit, that end in 0 and in 1, so they step
-    as end0 and end1 do, seeded at L = 0 with both one-bit strings; p is z.
-    """
-    return _append_bits(n - 1, _one_bit(k, m), _one_bit(k, m))[0]
-
-
-def _layer_cell(
-    n: int, k: int, m: int, cache: Optional[MemoCache],
-    layer: Callable[[int, int, int], _Grid],
-) -> int:
+def _layer_cell(n: int, k: int, m: int, cache: Optional[MemoCache], from_one: bool) -> int:
     base = z_base_case(n, k, m)
     if base is not None:
         return base
-    if cache is None:
-        return layer(n, k, m)[k][m]
-    if (n, k, m) not in cache:
-        for a, row in enumerate(layer(n, k, m)):
-            for b, v in enumerate(row):
-                cache[n, a, b] = v
-    return cache[n, k, m]
+    if cache is not None and (n, k, m) in cache:
+        return cache[n, k, m]
+    layer = _z_layer(*next(islice(_transfer(k, m, from_one), n - 1, None)), from_one)
+    if cache is not None:
+        for a, b in product(range(k + 1), range(m + 1)):
+            cache[n, a, b] = layer[a][b]
+    return layer[k][m]
 
 
 def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
     """z via the last-bit case split (transfer matrices, Stanley *EC1* §4.7).
 
     A counted string of length n >= 2 is a shorter one with a bit appended,
-    so :func:`_split_layer` counts them by last bit bottom-up from "0".
+    so :func:`_transfer` counts them by last bit bottom-up from "0".
     A given ``cache`` receives the cells of the final layer, so once warm it
     answers later queries at the same n; shared with the other recurrence, it
     raises where the two routes disagree.
     """
-    return _layer_cell(n, k, m, cache, _split_layer)
+    return _layer_cell(n, k, m, cache, False)
 
 
 def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
@@ -447,9 +467,9 @@ def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) 
     z(n-f, m, k+1-f): everything before the first 1 is a block of f leading
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
     the pair roles swapped, on one diagonal of the lower layers (see
-    :func:`_firstone_layer`).  ``cache`` works as for :func:`z_recur_split`.
+    :func:`_z_layer`).  ``cache`` works as for :func:`z_recur_split`.
     """
-    return _layer_cell(n, k, m, cache, _firstone_layer)
+    return _layer_cell(n, k, m, cache, True)
 
 
 # ---------------------------------------------------------------------------

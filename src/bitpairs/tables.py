@@ -27,10 +27,11 @@ from .counting import (
     Z_TABLE_FORMATS,
     _check_length,
     _check_oracle_n,
-    _firstone_layer,
     _profile_histogram,
-    _split_layer,
+    _transfer,
+    _z_layer,
     decimal_digits,
+    decimal_int,
     s_circular,
     s_circular_oracle,
     terquem_T,
@@ -109,7 +110,7 @@ def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
     if fmt == "json":
         import json
 
-        data = json.loads(text)
+        data = json.loads(text, parse_int=decimal_int)
         if not isinstance(data, list) or not all(
             isinstance(r, dict) and r.keys() == set(_HEADER) for r in data
         ):
@@ -127,7 +128,7 @@ def parse_z_table(text: str, fmt: str = "csv") -> ZTable:
         if any(len(r) != len(_HEADER) for r in rows[1:]):
             raise ValueError(f"malformed table: rows need exactly {len(_HEADER)} fields")
         try:
-            records = [tuple(map(int, r)) for r in rows[1:]]
+            records = [tuple(map(decimal_int, r)) for r in rows[1:]]
         except ValueError:
             raise ValueError("malformed table: fields must be integers") from None
     if not records:
@@ -221,8 +222,10 @@ def verify_all(
     :func:`s_circular_oracle`; plus, always, the z(n,0,m) = z(n-1,m,0)
     identity and the end-bit parity rule, checked once per (k, m, equal
     ends) that a length-n string has (the oracle histogram's keys and their
-    complements') and counted as 2**n checks.  The report lists every
-    mismatch sorted by (n, k, m, method); success means none.
+    complements') and counted as 2**n checks.  The two recurrences are read
+    off one transfer pass per seed on the (max_n + 1) x (max_n + 1) grid,
+    stepped once per length.  The report lists every mismatch sorted by
+    (n, k, m, method); success means none.
     """
     _check_choice("mode", mode, VERIFY_MODES)
     if max_n < 2:
@@ -239,40 +242,33 @@ def verify_all(
         if got != expected:
             mismatches.append(Mismatch(n, k, m, method, got, expected))
 
-    do_linear = mode in ("linear", "both")
-    do_circular = mode in ("circular", "both")
-    methods: list[str] = []
-    if do_linear:
-        methods += ["split", "first-one", "reduce", "auto", "closed"]
-    if do_circular:
-        methods += ["circular"]
-    methods += ["end-parity", "column-collapse"]
+    do_linear, do_circular = mode != "circular", mode != "linear"
+    methods = (
+        ("split", "first-one", "reduce", "auto", "closed") * do_linear
+        + ("circular",) * do_circular
+        + ("end-parity", "column-collapse")
+    )
 
-    if do_linear:
-        for n in range(1, max_n + 1):
-            # one whole layer per recurrence, boundary cells included
-            split, firstone = _split_layer(n, n, n), _firstone_layer(n, n, n)
-            for k in range(n + 1):
-                for m in range(n + 1):
-                    want = z_oracle(n, k, m, limit=limit)
-                    compare(n, k, m, "split", split[k][m], want)
-                    compare(n, k, m, "first-one", firstone[k][m], want)
-                    compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
-                    compare(n, k, m, "auto", z_auto(n, k, m), want)
-                    if m == 0:
-                        compare(n, k, 0, "closed", z_closed_m0(n, k), want)
-
-    if do_circular:
-        for n in range(2, max_n + 1):
-            for k, m in _grid(n, "circular"):
+    passes = zip(_transfer(max_n, max_n, False), _transfer(max_n, max_n, True))
+    for n, (split_ends, firstone_ends) in zip(range(1, max_n + 1), passes):
+        split, firstone = _z_layer(*split_ends, False), _z_layer(*firstone_ends, True)
+        for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
+            if do_linear:
+                want = z_oracle(n, k, m, limit=limit)
+                compare(n, k, m, "split", split[k][m], want)
+                compare(n, k, m, "first-one", firstone[k][m], want)
+                compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
+                compare(n, k, m, "auto", z_auto(n, k, m), want)
+                if m == 0:
+                    compare(n, k, 0, "closed", z_closed_m0(n, k), want)
+            if do_circular and n >= 2:
                 want = s_circular_oracle(n, k, m, limit=limit)
                 compare(n, k, m, "circular", s_circular(n, k, m), want)
 
-    # end-bit parity rule, once per (k, m, whether the first and last bits
-    # agree): the histogram keys (k, m, e) of the strings that start with 0
-    # have equal ends when the last bit e is 0, as do their complements,
-    # which swap k and m
-    for n in range(1, max_n + 1):
+        # end-bit parity rule, once per (k, m, whether the first and last bits
+        # agree): the histogram keys (k, m, e) of the strings that start with 0
+        # have equal ends when the last bit e is 0, as do their complements,
+        # which swap k and m
         seen = {(a, b, not e) for k, m, e in _profile_histogram(n) for a, b in ((k, m), (m, k))}
         for k, m, ends in seen:
             predicted = wrap_parity_predicts_equal_ends(n, k, m)
@@ -280,8 +276,7 @@ def verify_all(
                 mismatches.append(Mismatch(n, k, m, "end-parity", int(ends), int(predicted)))
         checks += 1 << n
 
-    # the 0-pair-free column collapses to the previous length's m = 0 column
-    for n in range(1, max_n + 1):
+        # the 0-pair-free column collapses to the previous length's m = 0 column
         for m in range(max(0, n - 1)):
             compare(n, 0, m, "column-collapse", z_auto(n, 0, m), z_auto(n - 1, m, 0))
 
@@ -289,7 +284,7 @@ def verify_all(
     return VerifyReport(
         max_n=max_n,
         mode=mode,
-        methods=tuple(methods),
+        methods=methods,
         checks=checks,
         mismatches=tuple(mismatches),
         elapsed=time.perf_counter() - start,

@@ -156,21 +156,26 @@ class TestCount:
             assert (code, err) == (2, "error: method 'closed' does not apply to circular adjacency\n")
 
     def test_recurrence_builds_one_layer(self, capsys, monkeypatch):
-        # a linear or a circular query is one z call, so one layer pass
-        for method, name in (("split", "_split_layer"), ("first-one", "_firstone_layer")):
-            layer, built = getattr(bitpairs.counting, name), []
+        # a linear or a circular query is one z call, so one transfer pass,
+        # stepped to the query's length n = 10
+        transfer, built = bitpairs.counting._transfer, []
 
-            def counted(n, k, m, layer=layer, built=built):
-                built.append((n, k, m))
-                return layer(n, k, m)
+        def counted(k, m, from_one):
+            record = [k, m, from_one, 0]  # the pass's arguments and grids drawn
+            built.append(record)
+            for grids in transfer(k, m, from_one):
+                record[3] += 1
+                yield grids
 
-            monkeypatch.setattr(bitpairs.counting, name, counted)
+        monkeypatch.setattr(bitpairs.counting, "_transfer", counted)
+        for method, from_one in (("split", False), ("first-one", True)):
             args = ("count", "--n", "10", "--k", "2", "--m", "4", "--method", method)
             assert invoke(capsys, *args) == (0, "15\n", "")
-            assert built == [(10, 2, 4)]
+            assert built == [[2, 4, from_one, 10]]
             built.clear()
             assert invoke(capsys, *args, "--circular") == (0, "75\n", "")
-            assert built == [(10, 2, 4)]
+            assert built == [[2, 4, from_one, 10]]
+            built.clear()
 
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")

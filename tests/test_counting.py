@@ -5,9 +5,11 @@ import random
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 
 import pytest
 
+import bitpairs.counting
 from bitpairs import (
     MemoCache,
     PairProfile,
@@ -29,13 +31,14 @@ from bitpairs import (
 )
 from bitpairs.counting import (
     _COMB_CUTOFF,
-    _append_bits,
-    _firstone_layer,
     _prime_power_binomial,
     _primes_to,
     _profiles,
-    _split_layer,
+    _ring_keys,
+    _transfer,
+    _z_layer,
     decimal_digits,
+    decimal_int,
 )
 
 
@@ -162,18 +165,6 @@ def assert_scan_matches_strings():
         assert list(_profiles(n)) == [(int(b, 2), *linear_pair_counts(b)[1:]) for b in strings]
 
 
-@pytest.fixture
-def lowest_digit_limit():
-    """The interpreter's lowest int -> str digit limit, 640, for one test, so
-    decimal_digits converts every value from 641 digits on by itself."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(before)
-
-
 class TestDecimalDigits:
     """decimal_digits(v) == str(v) on both paths: str() below the limit, and
     the conversion in the decimal module, whose leaves hold at most 14000 bits,
@@ -189,6 +180,17 @@ class TestDecimalDigits:
         values += [2**j - 1 for j in [2126, 2127] + around]
         for v in values:
             assert decimal_digits(v) == unlimited_str(v), v.bit_length()
+
+    def test_decimal_int_inverts(self, lowest_digit_limit):
+        # int(text) below the limit, the decimal module above it; what int
+        # itself refuses stays refused
+        for v in (0, 7, -7, 10**640 - 1, 10**640, -(10**5000) - 7, 2**56001 - 1):
+            assert decimal_int(decimal_digits(v)) == v, v.bit_length()
+        assert decimal_int(" +12_3 ") == 123
+        assert decimal_int("0" * 700 + "5") == 5
+        for text in ("1e5", "1.0", "-", "", "--1", "1" * 700 + "x", "\u0663" * 700, "+" + "1" * 700):
+            with pytest.raises(ValueError):
+                decimal_int(text)
 
     def test_seeded_random(self, lowest_digit_limit, unlimited_str):
         rng = random.Random(20261019)
@@ -333,19 +335,19 @@ class TestRecurrences:
     def test_deep_arguments_do_not_hit_recursion_limit(self):
         assert z_recur_split(400, 1, 1) == z_recur_firstone(400, 1, 1)
 
-    @pytest.mark.parametrize("layer_of", [_split_layer, _firstone_layer])
-    def test_layer_equals_oracle_on_rectangles(self, layer_of):
+    @pytest.mark.parametrize("from_one", [False, True], ids=["split", "first-one"])
+    def test_layer_equals_oracle_on_rectangles(self, from_one):
         # every cell of the layer, not only the queried corner, on shapes
         # with k > m, k < m and both beyond the k + m < n interior
         for n in range(1, 15):
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
-                layer = layer_of(n, k, m)
+                layer = _z_layer(*next(islice(_transfer(k, m, from_one), n - 1, None)), from_one)
                 assert [len(row) for row in layer] == [m + 1] * (k + 1), (n, k, m)
                 for a in range(k + 1):
                     for b in range(m + 1):
                         assert layer[a][b] == z_oracle(n, a, b), (n, a, b)
 
-    def test_append_bits_state(self):
+    def test_transfer_state(self):
         # both end-bit grids, not only a layer's readout, on the same shapes:
         # grown from "0", a string ends as it starts iff its n-1-a-b flips are
         # even; grown from both one-bit strings, reversal turns "ends in 0"
@@ -354,19 +356,19 @@ class TestRecurrences:
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
                 one_bit = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
                 zeros = [[0] * (m + 1) for _ in range(k + 1)]
-                from0 = _append_bits(n - 1, one_bit, zeros)
-                both = _append_bits(n - 1, one_bit, one_bit)
+                from0 = list(islice(_transfer(k, m, False), n))
+                both = list(islice(_transfer(k, m, True), n))
                 for a in range(k + 1):
                     for b in range(m + 1):
                         z = z_oracle(n, a, b)
                         ends_equal = (n - 1 - a - b) % 2 == 0
-                        assert from0[0][a][b] == (z if ends_equal else 0), (n, a, b)
-                        assert from0[1][a][b] == (0 if ends_equal else z), (n, a, b)
-                        assert both[0][a][b] == z, (n, a, b)
-                        assert both[1][a][b] == z_oracle(n, b, a), (n, a, b)
-                # the seeds come back unchanged
-                assert one_bit == [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
-                assert zeros == [[0] * (m + 1) for _ in range(k + 1)]
+                        assert from0[-1][0][a][b] == (z if ends_equal else 0), (n, a, b)
+                        assert from0[-1][1][a][b] == (0 if ends_equal else z), (n, a, b)
+                        assert both[-1][0][a][b] == z, (n, a, b)
+                        assert both[-1][1][a][b] == z_oracle(n, b, a), (n, a, b)
+                # the seeds, the grids at length 1, come back unchanged
+                assert from0[0] == (one_bit, zeros)
+                assert both[0] == (one_bit, one_bit)
 
     @pytest.mark.parametrize(
         "recur,n,k,m,bound",
@@ -653,3 +655,54 @@ class TestCircular:
         cache = MemoCache()
         via_split = s_circular(10, 2, 4, z=lambda n, k, m: z_recur_split(n, k, m, cache))
         assert via_split == s_circular(10, 2, 4) == s_circular_oracle(10, 2, 4)
+
+
+def transfer_mismatches(max_n):
+    """(n, k, m, route, got, want) wherever a route disagrees with the split
+    pass on a cell 0 <= k, m <= n, n = 1..max_n: first-one, z_auto and
+    z_reduce_to_m0 against its z readout, and from n = 2 s_circular against
+    its ring readout, the end-bit cells at the _ring_keys of (k, m) and of
+    (m, k).  Routes are looked up on the module, so a monkeypatched one is
+    the one checked."""
+    routes = bitpairs.counting
+    found = []
+    passes = zip(_transfer(max_n, max_n, False), _transfer(max_n, max_n, True))
+    for n, (split_ends, firstone_ends) in zip(range(1, max_n + 1), passes):
+        split, firstone = _z_layer(*split_ends, False), _z_layer(*firstone_ends, True)
+        for k in range(n + 1):
+            for m in range(n + 1):
+                z = split[k][m]
+                checks = [
+                    ("first-one", firstone[k][m], z),
+                    ("auto", routes.z_auto(n, k, m), z),
+                    ("reduce", routes.z_reduce_to_m0(n, k, m), z),
+                ]
+                if n >= 2:
+                    keys = _ring_keys(k, m) + _ring_keys(m, k)
+                    ring = sum(split_ends[last][a][b] for a, b, last in keys if a >= 0)
+                    checks.append(("circular", routes.s_circular(n, k, m), ring))
+                found += [(n, k, m, route, got, want) for route, got, want in checks if got != want]
+    return found
+
+
+class TestTransferBeyondOracle:
+    """Every cell up to n = 60, three times the oracle limit, read off one
+    stepped pass per seed: 77,530 cells of z and 77,526 rings."""
+
+    def test_every_cell_to_60(self):
+        assert transfer_mismatches(60) == []
+
+    def test_reports_a_wrong_z_auto(self, monkeypatch):
+        real = bitpairs.counting.z_auto
+        monkeypatch.setattr(bitpairs.counting, "z_auto",
+                            lambda n, k, m: real(n, k, m) + ((n, k, m) == (23, 7, 9)))
+        z = real(23, 7, 9)
+        assert transfer_mismatches(24) == [(23, 7, 9, "auto", z + 1, z)]
+
+    def test_reports_a_wrong_s_circular(self, monkeypatch):
+        real = bitpairs.counting.s_circular
+        monkeypatch.setattr(bitpairs.counting, "s_circular",
+                            lambda n, k, m: real(n, k, m) - ((n, k, m) == (24, 10, 4)))
+        s = real(24, 10, 4)
+        assert s > 0
+        assert transfer_mismatches(24) == [(24, 10, 4, "circular", s - 1, s)]

@@ -8,6 +8,7 @@ import bitpairs.tables
 from bitpairs import (
     Mismatch,
     VerifyReport,
+    ZTable,
     linear_pair_counts,
     parse_z_table,
     render_terquem_triangle,
@@ -18,16 +19,19 @@ from bitpairs import (
     z_auto,
     z_table,
 )
-from bitpairs.counting import _firstone_layer, _split_layer, z_closed_m0
+from bitpairs.counting import _transfer, z_closed_m0
 from bitpairs.counting import z_reduce_to_m0 as real_reduce
 
 
-def _plus_one_at_5_1_1(layer):
-    def broken(n, k, m):
-        grid = layer(n, k, m)
-        if n == 5:
-            grid[1][1] += 1
-        return grid
+def _plus_one_at_5_1_1(seeded_from_one):
+    # the pass of that seed yields end0 with cell [1][1] one too high at n = 5;
+    # in a copy, as the pass steps on from the grids it yielded
+    def broken(k, m, from_one):
+        for n, (end0, end1) in enumerate(_transfer(k, m, from_one), start=1):
+            if n == 5 and from_one == seeded_from_one:
+                end0 = [row[:] for row in end0]
+                end0[1][1] += 1
+            yield end0, end1
 
     return broken
 
@@ -216,6 +220,35 @@ class TestBeyondDigitLimit:
         for fmt in ("csv", "tsv", "json"):
             assert render_z_table(2, "linear", fmt).count(text) == 4, fmt
 
+    @pytest.mark.parametrize("lowest", [False, True], ids=["default-limit", "lowest-limit"])
+    def test_table_round_trip(self, monkeypatch, request, text, lowest):
+        # every format reads back the cells it wrote, under the default limit
+        # and under the lowest one, 640 digits
+        if lowest:
+            request.getfixturevalue("lowest_digit_limit")
+        monkeypatch.setattr(bitpairs.tables, "z_auto", lambda n, k, m: self.BIG + k - m)
+        cells = tuple((k, m, self.BIG + k - m) for k in (0, 1) for m in (0, 1))
+        for fmt in ("csv", "tsv", "json"):
+            assert parse_z_table(render_z_table(2, "linear", fmt), fmt) == ZTable(2, "linear", cells)
+        # a long run of digits is still refused where it is not an integer, or negative
+        header, row = "n,k,m,count\n", "1,0,0,{}\n"
+        for count, why in (
+            (text + "x", "fields must be integers"),
+            (text + ".0", "fields must be integers"),
+            ("1e5", "fields must be integers"),
+            ("\u0663" * 5001, "fields must be integers"),  # ARABIC-INDIC DIGIT THREE
+            ("-" + text, "negative count"),
+        ):
+            with pytest.raises(ValueError, match=f"^malformed table: {why}$"):
+                parse_z_table(header + row.format(count), "csv")
+        for count, why in (
+            ("1e5", "fields must be integers"),
+            (text + ".0", "fields must be integers"),
+            ("-" + text, "negative count"),
+        ):
+            with pytest.raises(ValueError, match=f"^malformed table: {why}$"):
+                parse_z_table(f'[{{"n": 1, "k": 0, "m": 0, "count": {count}}}]', "json")
+
     def test_triangle(self, monkeypatch, text):
         monkeypatch.setattr(bitpairs.tables, "terquem_T", lambda n, k: self.BIG)
         assert render_terquem_triangle(2, "csv").count(text) == 3
@@ -283,10 +316,8 @@ class TestVerifyAll:
     @pytest.mark.parametrize(
         "name, broken, expected",
         [
-            ("_split_layer", _plus_one_at_5_1_1(_split_layer),
-             [Mismatch(5, 1, 1, "split", 3, 2)]),
-            ("_firstone_layer", _plus_one_at_5_1_1(_firstone_layer),
-             [Mismatch(5, 1, 1, "first-one", 3, 2)]),
+            ("_transfer", _plus_one_at_5_1_1(False), [Mismatch(5, 1, 1, "split", 3, 2)]),
+            ("_transfer", _plus_one_at_5_1_1(True), [Mismatch(5, 1, 1, "first-one", 3, 2)]),
             ("z_auto", _plus_one_at((5, 1, 1), z_auto), [Mismatch(5, 1, 1, "auto", 3, 2)]),
             ("z_auto", _plus_one_at((5, 0, 2), z_auto),
              [Mismatch(5, 0, 2, "auto", 2, 1), Mismatch(5, 0, 2, "column-collapse", 2, 1)]),
@@ -299,6 +330,23 @@ class TestVerifyAll:
         monkeypatch.setattr(bitpairs.tables, name, broken)
         report = verify_all(6, "linear")
         assert report.mismatches == tuple(expected)
+
+    @pytest.mark.parametrize("mode", ["linear", "both"])
+    def test_one_pass_per_seed(self, monkeypatch, mode):
+        # verify_all steps each seed's pass once, to max_n, on the full grid:
+        # one record [k, m, from_one, grids drawn] per pass
+        drawn = []
+
+        def counted(k, m, from_one):
+            record = [k, m, from_one, 0]
+            drawn.append(record)
+            for grids in _transfer(k, m, from_one):
+                record[3] += 1
+                yield grids
+
+        monkeypatch.setattr(bitpairs.tables, "_transfer", counted)
+        assert verify_all(9, mode).success
+        assert drawn == [[9, 9, False, 9], [9, 9, True, 9]]
 
     def test_fault_injection_circular(self, monkeypatch):
         monkeypatch.setattr(
