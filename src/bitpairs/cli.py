@@ -41,7 +41,6 @@ from functools import cache
 from typing import Optional
 
 from .counting import (
-    DEFAULT_ORACLE_LIMIT,
     TRIANGLE_FORMATS,
     VERIFY_MODES,
     Z_TABLE_FORMATS,
@@ -99,7 +98,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise ValueError("method 'closed' requires m = 0")
         value = z_closed_m0(n, k)
     elif method == "oracle":
-        value = (s_circular_oracle if args.circular else z_oracle)(n, k, m, limit=args.oracle_limit)
+        value = (s_circular_oracle if args.circular else z_oracle)(n, k, m)
     else:
         route = _ROUTES[method]
         value = s_circular(n, k, m, z=route) if args.circular else route(n, k, m)
@@ -125,7 +124,7 @@ def _cmd_triangle(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .tables import verify_all
 
-    report = verify_all(args.max_n, args.mode, limit=args.oracle_limit)
+    report = verify_all(args.max_n, args.mode)
     print(report.summary())
     return 0 if report.success else 1
 
@@ -134,7 +133,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     from .enumeration import enumerate_circular, enumerate_Z
 
     listing = enumerate_circular if args.circular else enumerate_Z
-    for b in listing(args.n, args.k, args.m, limit=args.oracle_limit):
+    for b in listing(args.n, args.k, args.m):
         print(b)
     return 0
 
@@ -165,22 +164,12 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_limit(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--oracle-limit",
-        type=_nonneg,
-        default=DEFAULT_ORACLE_LIMIT,
-        help=f"max n for exhaustive enumeration (default {DEFAULT_ORACLE_LIMIT})",
-    )
-
-
 def _count_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_nonneg, required=True, help="string length")
     p.add_argument("--k", type=_nonneg, required=True, help="number of 0-pairs")
     p.add_argument("--m", type=_nonneg, required=True, help="number of 1-pairs")
     p.add_argument("--circular", action="store_true", help="wraparound adjacency")
     p.add_argument("--method", choices=METHODS, default="auto")
-    _add_limit(p)
 
 
 def _table_arguments(p: argparse.ArgumentParser) -> None:
@@ -199,7 +188,6 @@ def _triangle_arguments(p: argparse.ArgumentParser) -> None:
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-n", type=_nonneg, required=True, dest="max_n")
     p.add_argument("--mode", choices=VERIFY_MODES, default="both")
-    _add_limit(p)
 
 
 def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
@@ -207,7 +195,6 @@ def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_nonneg, required=True)
     p.add_argument("--m", type=_nonneg, required=True)
     p.add_argument("--circular", action="store_true")
-    _add_limit(p)
 
 
 def _bijection_arguments(p: argparse.ArgumentParser) -> None:

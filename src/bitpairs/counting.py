@@ -66,7 +66,9 @@ from itertools import compress, islice, product
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional
 
-DEFAULT_ORACLE_LIMIT = 20  # one oracle pass enumerates at most 2**20 strings
+# the one bound on every exhaustive scan: a pass reads the 2**(n-1) strings
+# that start with 0, so at most 2**19 at n = 20
+DEFAULT_ORACLE_LIMIT = 20
 # the choices of `tables` and the CLI, kept here so building the parser imports no tables
 Z_TABLE_FORMATS = ("csv", "tsv", "json")
 TRIANGLE_FORMATS = ("csv", "bfile")
@@ -328,10 +330,10 @@ def z_base_case(n: int, k: int, m: int) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_oracle_n(n: int, circular: bool, limit: int) -> None:
+def _check_oracle_n(n: int, circular: bool) -> None:
     _check_length(n, circular)
-    if n > limit:
-        raise ValueError(f"oracle limit exceeded: n={n} > {limit}")
+    if n > DEFAULT_ORACLE_LIMIT:
+        raise ValueError(f"oracle limit exceeded: n={n} > {DEFAULT_ORACLE_LIMIT}")
 
 
 def _profiles(n: int) -> Iterator[tuple[int, int, int]]:
@@ -363,7 +365,7 @@ def _ring_keys(k: int, m: int) -> tuple[tuple[int, int, int], tuple[int, int, in
     return (k - 1, m, 0), (k, m, 1)
 
 
-def z_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
+def z_oracle(n: int, k: int, m: int) -> int:
     """z(n, k, m) by scanning every length-n string that starts with 0.
 
     Ground truth for the formula-based routes.  One pass reads each string's
@@ -371,13 +373,13 @@ def z_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> in
     :func:`_profiles`, which the tests pin to :func:`linear_pair_counts`) and
     histograms all of that n, so repeated queries at the same n cost nothing
     extra; z sums the two last-bit cells of (k, m).  Exponential in n:
-    refused above the oracle limit (default 20).
+    refused above the oracle limit, ``DEFAULT_ORACLE_LIMIT`` = 20.
     """
-    _check_oracle_n(n, False, limit)
+    _check_oracle_n(n, False)
     return sum(_profile_histogram(n).get((k, m, last), 0) for last in (0, 1))
 
 
-def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> int:
+def s_circular_oracle(n: int, k: int, m: int) -> int:
     """Circular-adjacency count of all 2**n strings, by scanning half of them.
 
     A string that starts with 0 closes into a (k, m) ring when its histogram
@@ -386,7 +388,7 @@ def s_circular_oracle(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIM
     the count adds the cells of both key pairs.  Same histogram, and so the
     same scan and limit, as :func:`z_oracle`.
     """
-    _check_oracle_n(n, True, limit)
+    _check_oracle_n(n, True)
     return sum(_profile_histogram(n).get(key, 0) for key in _ring_keys(k, m) + _ring_keys(m, k))
 
 

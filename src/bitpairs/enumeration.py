@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .counting import DEFAULT_ORACLE_LIMIT, _check_length, _check_oracle_n, _require_bits
+from .counting import _check_length, _check_oracle_n, _require_bits
 from .counting import _profiles, _ring_keys  # the scan of the strings that start with 0
 
 _INVERT = str.maketrans("01", "10")
@@ -22,28 +22,29 @@ def invert_bits(b: str) -> str:
     return b.translate(_INVERT)
 
 
-def enumerate_Z(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
+def enumerate_Z(n: int, k: int, m: int) -> list[str]:
     """All length-n strings starting with 0 with linear profile (k, m).
 
     Lexicographic order; an exhaustive scan of the 2**(n-1) strings that
-    start with 0, so the oracle limit applies.
+    start with 0, so n is refused above the oracle limit,
+    ``DEFAULT_ORACLE_LIMIT`` = 20.
     """
-    _check_oracle_n(n, False, limit)
+    _check_oracle_n(n, False)
     width = f"0{n}b"
     return [format(v, width) for v, a, b in _profiles(n) if (a, b) == (k, m)]
 
 
-def enumerate_circular(n: int, k: int, m: int, *, limit: int = DEFAULT_ORACLE_LIMIT) -> list[str]:
+def enumerate_circular(n: int, k: int, m: int) -> list[str]:
     """All length-n strings (either leading bit) with circular profile (k, m).
 
     Lexicographic order.  Two scans of the 2**(n-1) strings that start with
-    0, so the oracle limit applies.  The first lists those that close into
-    (k, m) rings (see :func:`~bitpairs.counting._ring_keys`).  The second
-    finds those that close into (m, k) rings: their complements are the
-    listed strings that start with 1, in descending order, so they are
-    reversed.
+    0, so n is refused above the oracle limit, as in :func:`enumerate_Z`.
+    The first lists those that close into (k, m) rings (see
+    :func:`~bitpairs.counting._ring_keys`).  The second finds those that
+    close into (m, k) rings: their complements are the listed strings that
+    start with 1, in descending order, so they are reversed.
     """
-    _check_oracle_n(n, True, limit)
+    _check_oracle_n(n, True)
     width, ones = f"0{n}b", (1 << n) - 1
     zero, one = _ring_keys(k, m), _ring_keys(m, k)
     tail = [format(v ^ ones, width) for v, a, b in _profiles(n) if (a, b, v & 1) in one]

@@ -21,7 +21,6 @@ import time
 from typing import NamedTuple
 
 from .counting import (
-    DEFAULT_ORACLE_LIMIT,
     TRIANGLE_FORMATS,
     VERIFY_MODES,
     Z_TABLE_FORMATS,
@@ -211,9 +210,7 @@ class VerifyReport(NamedTuple):
         return "\n".join(lines)
 
 
-def verify_all(
-    max_n: int, mode: str = "both", *, limit: int = DEFAULT_ORACLE_LIMIT
-) -> VerifyReport:
+def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     """Compare every counting route against the oracles up to max_n.
 
     Covers, per mode, the full (n, k, m) grid with 0 <= k, m <= n for the
@@ -222,15 +219,17 @@ def verify_all(
     :func:`s_circular_oracle`; plus, always, the z(n,0,m) = z(n-1,m,0)
     identity and the end-bit parity rule, checked once per (k, m, equal
     ends) that a length-n string has (the oracle histogram's keys and their
-    complements') and counted as 2**n checks.  The two recurrences are read
-    off one transfer pass per seed on the (max_n + 1) x (max_n + 1) grid,
-    stepped once per length.  The report lists every mismatch sorted by
-    (n, k, m, method); success means none.
+    complements') and counted as 2**n checks.  When a linear check runs, the
+    two recurrences are read off one transfer pass per seed on the
+    (max_n + 1) x (max_n + 1) grid, stepped once per length; the circular
+    mode steps none.  max_n runs from 2 to the oracle limit,
+    ``DEFAULT_ORACLE_LIMIT`` = 20.  The report lists every mismatch sorted
+    by (n, k, m, method); success means none.
     """
     _check_choice("mode", mode, VERIFY_MODES)
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    _check_oracle_n(max_n, False, limit)
+    _check_oracle_n(max_n, False)
 
     start = time.perf_counter()
     mismatches: list[Mismatch] = []
@@ -249,12 +248,15 @@ def verify_all(
         + ("end-parity", "column-collapse")
     )
 
-    passes = zip(_transfer(max_n, max_n, False), _transfer(max_n, max_n, True))
-    for n, (split_ends, firstone_ends) in zip(range(1, max_n + 1), passes):
-        split, firstone = _z_layer(*split_ends, False), _z_layer(*firstone_ends, True)
+    # the recurrences' passes, one per seed; a generator runs nothing until stepped
+    split_pass, firstone_pass = _transfer(max_n, max_n, False), _transfer(max_n, max_n, True)
+    for n in range(1, max_n + 1):
+        if do_linear:  # each pass steps once per length, and only for the linear checks
+            split = _z_layer(*next(split_pass), False)
+            firstone = _z_layer(*next(firstone_pass), True)
         for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
             if do_linear:
-                want = z_oracle(n, k, m, limit=limit)
+                want = z_oracle(n, k, m)
                 compare(n, k, m, "split", split[k][m], want)
                 compare(n, k, m, "first-one", firstone[k][m], want)
                 compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
@@ -262,7 +264,7 @@ def verify_all(
                 if m == 0:
                     compare(n, k, 0, "closed", z_closed_m0(n, k), want)
             if do_circular and n >= 2:
-                want = s_circular_oracle(n, k, m, limit=limit)
+                want = s_circular_oracle(n, k, m)
                 compare(n, k, m, "circular", s_circular(n, k, m), want)
 
         # end-bit parity rule, once per (k, m, whether the first and last bits

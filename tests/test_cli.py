@@ -412,14 +412,17 @@ def test_run_matches_nested_parser(capsys, argv):
 
 
 class TestOracleLimitPlumbing:
-    def test_flag_raises_limit(self, capsys):
-        code, out, _ = invoke(
-            capsys, "count", "--n", "21", "--k", "2", "--m", "2",
-            "--method", "oracle", "--oracle-limit", "21",
-        )
-        assert code == 0
-        _, fast, _ = invoke(capsys, "count", "--n", "21", "--k", "2", "--m", "2")
-        assert out == fast
+    def test_flag_is_refused(self, capsys):
+        # the bound is the constant DEFAULT_ORACLE_LIMIT: no subcommand takes a flag for it
+        cases = [
+            ("count", "--n", "8", "--k", "2", "--m", "2", "--method", "oracle"),
+            ("verify", "--max-n", "6"),
+            ("enumerate", "--n", "8", "--k", "2", "--m", "1"),
+        ]
+        for argv in cases:
+            for value in ("21", "8"):
+                line = f"error: unrecognized arguments: --oracle-limit {value}\n"
+                assert invoke(capsys, *argv, "--oracle-limit", value) == (2, "", line), argv
 
     def test_environment_is_not_read(self, capsys, monkeypatch):
         cases = [
@@ -435,10 +438,9 @@ class TestOracleLimitPlumbing:
             assert [mask_elapsed(invoke(capsys, *argv)) for argv in cases] == unset, value
 
     def test_verify_error_matches_count(self, capsys):
-        line = "error: oracle limit exceeded: n=9 > 8\n"
-        verify = invoke(capsys, "verify", "--max-n", "9", "--oracle-limit", "8")
-        count = invoke(capsys, "count", "--n", "9", "--k", "0", "--m", "0", "--method", "oracle",
-                       "--oracle-limit", "8")
+        line = "error: oracle limit exceeded: n=21 > 20\n"
+        verify = invoke(capsys, "verify", "--max-n", "21")
+        count = invoke(capsys, "count", "--n", "21", "--k", "2", "--m", "2", "--method", "oracle")
         assert verify == count == (2, "", line)
 
 

@@ -296,11 +296,6 @@ class TestOracle:
         with pytest.raises(ValueError, match="oracle limit exceeded"):
             z_oracle(21, 0, 0)
 
-    def test_limit_override(self):
-        with pytest.raises(ValueError, match="oracle limit exceeded"):
-            z_oracle(9, 0, 0, limit=8)
-        assert z_oracle(9, 0, 0, limit=9) == z_oracle(9, 0, 0)
-
     def test_circular_examples(self):
         assert s_circular_oracle(4, 4, 0) == 1
         assert s_circular_oracle(4, 1, 1) == 4

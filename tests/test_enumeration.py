@@ -88,7 +88,7 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="below length 2"):
             enumerate_circular(1, 0, 0)
         with pytest.raises(ValueError, match="oracle limit exceeded"):
-            enumerate_circular(9, 0, 0, limit=8)
+            enumerate_circular(21, 0, 0)
 
 
 class TestInvert:
