@@ -37,13 +37,14 @@ print(f"with entries from 1..{n - 1}:")
 for s in enumerate_Z(n, k, 0):
     print(f"  {s}  ->  {to_terquem(s)}")
 print()
-seqs = enumerate_terquem(n - 1, k, "odd")
-print(f"enumerate_terquem({n - 1}, {k}, odd) lists the same {len(seqs)} sequences:")
+seqs = enumerate_terquem(n - 1, k)
+print(f"enumerate_terquem({n - 1}, {k}) lists the same {len(seqs)} sequences:")
 print(f"  {seqs}")
 print(f"and the triangle agrees: T({n - 1},{k}) = {terquem_T(n - 1, k)}")
 print()
 
-print("The even-start variant over 1..bound is counted one triangle row up:")
+print("The sequences over 1..bound that start even are those over 1..bound-1")
+print("raised by one, so they are counted one triangle row up:")
 for bound in range(2, 7):
-    even = enumerate_terquem(bound, 2, 'even')
+    even = [tuple(v + 1 for v in t) for t in enumerate_terquem(bound - 1, 2)]
     print(f"  bound={bound}: {len(even):>2} even-start pairs, T({bound - 1},2) = {terquem_T(bound - 1, 2)}")

@@ -483,7 +483,8 @@ def terquem_T(n: int, k: int) -> int:
     """Entry of the triangle C(floor((n+k)/2), k), OEIS A046854.
 
     Counts the strictly increasing, parity-alternating sequences of length k
-    from {1..n} that start odd (and, from {1..n+1}, those that start even).
+    from {1..n} that start odd; those that start even from {1..n+1} are the
+    same sequences with every entry raised by one.
     k beyond n yields 0 through the binomial convention.
     """
     if n < 0 or k < 0:

@@ -72,13 +72,9 @@ def to_terquem(b: str) -> tuple[int, ...]:
     _require_bits(b)
     if b[0] != "0":
         raise ValueError("not in Z(n,k,0): leading bit is 1")
-    t = []
-    for i, (x, y) in enumerate(zip(b, b[1:]), start=1):
-        if x == y:
-            if x == "1":
-                raise ValueError("not in Z(n,k,0): contains a 1-pair")
-            t.append(i)
-    return tuple(t)
+    if "11" in b:
+        raise ValueError("not in Z(n,k,0): contains a 1-pair")
+    return tuple([i for i, x, y in zip(range(1, len(b)), b, b[1:]) if x == y])
 
 
 def _validate_terquem(t: Sequence[int], bound: int) -> None:
@@ -113,25 +109,20 @@ def from_terquem(t: Sequence[int], n: int) -> str:
     return "".join(bits)
 
 
-def enumerate_terquem(
-    universe_bound: int, k: int, start_parity: str = "odd"
-) -> list[tuple[int, ...]]:
-    """All length-k parity-alternating increasing sequences from {1..bound}.
+def enumerate_terquem(universe_bound: int, k: int) -> list[tuple[int, ...]]:
+    """All length-k parity-alternating increasing sequences from {1..bound} that start odd.
 
-    The odd-start variant begins with an odd entry and there are
-    terquem_T(universe_bound, k) of them; the even-start variant begins even
-    and there are terquem_T(universe_bound - 1, k).  Lexicographic order.
+    Entry i has the parity of i; there are terquem_T(universe_bound, k) of
+    them, in lexicographic order.  The sequences that start even are these
+    for universe_bound - 1 with every entry raised by one.
     """
     if universe_bound < 0:
         raise ValueError(f"universe_bound must be >= 0, got {universe_bound}")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if start_parity not in ("odd", "even"):
-        raise ValueError(f"start_parity must be 'odd' or 'even', got {start_parity!r}")
     # extend the prefixes in order, so they stay sorted; an entry is 1, 3, 5... above the last
-    first = 1 if start_parity == "odd" else 2
     seqs: list[tuple[int, ...]] = [()]
     for i in range(k):
         stop = universe_bound - k + i + 2  # entry i+1 is at most bound - (k-i-1)
-        seqs = [acc + (v,) for acc in seqs for v in range(acc[-1] + 1 if acc else first, stop, 2)]
+        seqs = [acc + (v,) for acc in seqs for v in range(acc[-1] + 1 if acc else 1, stop, 2)]
     return seqs

@@ -122,8 +122,8 @@ def test_acceptance_bijection():
             image = [to_terquem(b) for b in members]
             for b, t in zip(members, image):
                 assert from_terquem(t, n) == b
-            assert sorted(image) == enumerate_terquem(n - 1, k, "odd")
-            for t in enumerate_terquem(n - 1, k, "odd"):
+            assert sorted(image) == enumerate_terquem(n - 1, k)
+            for t in enumerate_terquem(n - 1, k):
                 assert to_terquem(from_terquem(t, n)) == t
     assert to_terquem("001010001010001") == (1, 6, 7, 12, 13)
     assert from_terquem((1, 6, 7, 12, 13), 15) == "001010001010001"

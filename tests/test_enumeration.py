@@ -1,5 +1,7 @@
 """Tests for explicit enumeration and the Terquem correspondence."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -123,6 +125,11 @@ class TestToTerquem:
             to_terquem("0110")
         with pytest.raises(ValueError, match="empty input"):
             to_terquem("")
+        # the alphabet is checked first, then the leading bit, then the 1-pairs
+        with pytest.raises(ValueError, match="leading bit is 1"):
+            to_terquem("110")
+        with pytest.raises(ValueError, match="not a binary string"):
+            to_terquem("0112")
 
 
 class TestFromTerquem:
@@ -153,38 +160,33 @@ class TestFromTerquem:
 
 class TestEnumerateTerquem:
     def test_examples(self):
-        assert enumerate_terquem(3, 2, "odd") == [(1, 2)]
-        assert enumerate_terquem(4, 2, "odd") == [(1, 2), (1, 4), (3, 4)]
-        assert enumerate_terquem(9, 0, "odd") == [()]
+        assert enumerate_terquem(3, 2) == [(1, 2)]
+        assert enumerate_terquem(4, 2) == [(1, 2), (1, 4), (3, 4)]
+        assert enumerate_terquem(9, 0) == [()]
 
     def test_counts_match_triangle(self):
         for bound in range(0, 12):
             for k in range(0, bound + 2):
-                assert len(enumerate_terquem(bound, k, "odd")) == terquem_T(bound, k)
+                assert len(enumerate_terquem(bound, k)) == terquem_T(bound, k)
 
-    def test_even_counts_match_shifted_triangle(self):
-        for bound in range(1, 12):
+    def test_matches_brute_force(self):
+        # the k-subsets of 1..N, kept when entry i has the parity of i
+        for bound in range(0, 15):
             for k in range(0, bound + 2):
-                assert len(enumerate_terquem(bound, k, "even")) == terquem_T(bound - 1, k)
-        assert enumerate_terquem(0, 0, "even") == [()]
-        assert enumerate_terquem(0, 1, "even") == []
-
-    def test_even_variant_starts_even(self):
-        for t in enumerate_terquem(8, 3, "even"):
-            assert t[0] % 2 == 0
-            assert all((a % 2) != (b % 2) for a, b in zip(t, t[1:]))
+                want = [
+                    c for c in combinations(range(1, bound + 1), k)
+                    if all(v % 2 == i % 2 for i, v in enumerate(c, start=1))
+                ]
+                assert enumerate_terquem(bound, k) == want, (bound, k)
 
     def test_deep_sequence_does_not_recurse(self):
         assert enumerate_terquem(1200, 1200) == [tuple(range(1, 1201))]
-        assert enumerate_terquem(1201, 1200, "even") == [tuple(range(2, 1202))]
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             enumerate_terquem(-1, 0)
         with pytest.raises(ValueError):
             enumerate_terquem(4, -1)
-        with pytest.raises(ValueError, match="start_parity"):
-            enumerate_terquem(4, 1, "sideways")
 
 
 class TestBijection:
@@ -195,9 +197,9 @@ class TestBijection:
                 image = [to_terquem(b) for b in members]
                 for b, t in zip(members, image):
                     assert from_terquem(t, n) == b
-                assert sorted(image) == enumerate_terquem(n - 1, k, "odd")
+                assert sorted(image) == enumerate_terquem(n - 1, k)
 
     def test_cardinality_bridge(self):
         for n in range(1, 14):
             for k in range(n):
-                assert len(enumerate_terquem(n - 1, k, "odd")) == z_auto(n, k, 0) == terquem_T(n - 1, k)
+                assert len(enumerate_terquem(n - 1, k)) == z_auto(n, k, 0) == terquem_T(n - 1, k)
