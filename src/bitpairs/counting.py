@@ -33,10 +33,15 @@ the complement of one that starts with 0, with k and m swapped.
 :func:`linear_pair_counts` and :func:`circular_pair_counts` remain the
 string-level definitions the scan and the rings are tested against.
 
-The transfer pass steps bottom-up over n on two grids of the query's
-(k + 1) x (m + 1) cells, one per last bit, so the recurrences' memory is
-bounded; a recurrence reads the layer at its n, and ``verify_all`` reads
-every layer of one pass per seed.
+The transfer pass steps bottom-up to a length n on two grids of the
+query's (k + 1) x (m + 1) cells, one per last bit, so the recurrences'
+memory is bounded; a recurrence reads the layer at its n, and
+``verify_all`` reads every layer of one pass per seed.  A grid is k + 1
+ints, one per row, each holding the row's m + 1 cells in n-bit slots: no
+cell at a length L <= n exceeds 2**(L-1), so no slot carries into the
+next, and one int addition or shift steps a whole row.  A pass above
+``TRANSFER_GRID_BITS`` = 2**30 bits a grid is refused with a ValueError
+before it starts.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  :func:`decimal_digits` is the one place a count becomes decimal
@@ -397,34 +402,63 @@ def s_circular_oracle(n: int, k: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _transfer(k: int, m: int, from_one: bool) -> Iterator[tuple[_Grid, _Grid]]:
-    """The last-bit transfer pass: (end0, end1) at lengths 1, 2, 3, ...
+# the most bits a transfer pass may hold in one end-bit grid, (k + 1)(m + 1)n:
+# 128 MiB; every query of the tests, the demos and the benchmark needs at most
+# 4.9 Mbit, at (n, k, m) = (500, 120, 80)
+TRANSFER_GRID_BITS = 1 << 30
+
+
+def _transfer(n: int, k: int, m: int, from_one: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """The last-bit transfer pass: (end0, end1) at lengths 1, 2, ..., n.
 
     The strings grow from "0", and also from "1" when ``from_one``.
     end0[a][b] and end1[a][b] count the strings of the current length with
     profile (a, b), 0 <= a <= k, 0 <= b <= m, that end in 0 and in 1.  Each
     step appends a bit: a 0 adds a 0-pair after a 0, and a 1 a 1-pair after
     a 1, so end0'[a][b] = end0[a-1][b] + end1[a][b] and
-    end1'[a][b] = end0[a][b] + end1[a][b-1].  Every step builds new grids
-    from the ones it yielded, so those must not be changed in place.
+    end1'[a][b] = end0[a][b] + end1[a][b-1].
+
+    Each grid is a list of k + 1 ints, one per row a, holding cell b in bits
+    n*b to n*b + n - 1 (read by :func:`_cells`).  Every cell that the pass
+    or a readout forms counts strings of one length L <= n that all end in
+    the same bit, or all start with 0, so it is at most 2**(L-1) < 2**n and
+    no slot carries into the next.  So one int addition adds every cell of
+    a row, and a shift by n moves each cell b to b + 1 (the 1-pair axis of
+    the transfer matrix evaluated at 2**n): a step is 2(k + 1) int
+    operations on rows of (m + 1)n bits, not 2(k + 1)(m + 1) additions.
+    A pass whose grid would exceed ``TRANSFER_GRID_BITS`` = 2**30 bits is
+    refused with a ValueError, "recurrence grid too large: ...", before it
+    allocates a row.  Every step builds new rows from the ones it yielded,
+    so those must not be changed in place.
     """
-    zero = [0] * (m + 1)
-    end0 = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
-    end1 = end0 if from_one else [zero] * (k + 1)
-    while True:
+    bits = (k + 1) * (m + 1) * n
+    if bits > TRANSFER_GRID_BITS:
+        raise ValueError(f"recurrence grid too large: (k+1)(m+1)n = {bits} bits > 2**30")
+    row_mask = (1 << n * (m + 1)) - 1
+    end0 = [int(a == 0) for a in range(k + 1)]
+    end1 = end0 if from_one else [0] * (k + 1)
+    for _ in range(n - 1):
         yield end0, end1
         end0, end1 = (
-            [list(map(add, up0, row1)) for up0, row1 in zip([zero, *end0], end1)],
-            [list(map(add, row0, (0, *row1[:-1]))) for row0, row1 in zip(end0, end1)],
+            list(map(add, [0, *end0], end1)),  # map stops with end1, at row k
+            [row0 + (row1 << n & row_mask) for row0, row1 in zip(end0, end1)],
         )
+    yield end0, end1
 
 
-def _z_layer(end0: _Grid, end1: _Grid, from_one: bool) -> _Grid:
-    """z(n, a, b) on the grid, from :func:`_transfer`'s grids at length n.
+def _cells(rows: list[int], w: int, m: int) -> _Grid:
+    """The cells b = 0..m of each packed row, w bits a cell."""
+    mask = (1 << w) - 1
+    return [[row >> w * b & mask for b in range(m + 1)] for row in rows]
 
-    Grown from "0" alone (the last-bit split), z sums the two end-bit grids.
-    Grown from both one-bit strings (first-one), z is end0: w(L, a, b) =
-    z(L, b, a) counts the length-L strings that start with 1, by complement.
+
+def _z_layer(end0: list[int], end1: list[int], from_one: bool, n: int, m: int) -> _Grid:
+    """z(L, a, b) on the grid, from the rows at length L of :func:`_transfer`'s pass to n.
+
+    Grown from "0" alone (the last-bit split), z sums the two end-bit grids,
+    one int addition a row, as a string ends in one bit only.  Grown from
+    both one-bit strings (first-one), z is end0: w(L, a, b) = z(L, b, a)
+    counts the length-L strings that start with 1, by complement.
     At length L, p[a][b] is the diagonal sum of w(L-i, a-i, b) over i >= 0,
     which is z(L+1, a, b): i+1 leading 0s, then a string that starts with 1
     or is empty.  Likewise q[a][b], the diagonal sum of z(L-i, a, b-i), is
@@ -432,9 +466,7 @@ def _z_layer(end0: _Grid, end1: _Grid, from_one: bool) -> _Grid:
     either leading bit, that end in 0 and in 1, so they step as end0 and
     end1 do, seeded at L = 0 with both one-bit strings; p is z.
     """
-    if from_one:
-        return end0
-    return [list(map(add, row0, row1)) for row0, row1 in zip(end0, end1)]
+    return _cells(end0 if from_one else list(map(add, end0, end1)), n, m)
 
 
 def _layer_cell(n: int, k: int, m: int, cache: Optional[MemoCache], from_one: bool) -> int:
@@ -443,10 +475,12 @@ def _layer_cell(n: int, k: int, m: int, cache: Optional[MemoCache], from_one: bo
         return base
     if cache is not None and (n, k, m) in cache:
         return cache[n, k, m]
-    layer = _z_layer(*next(islice(_transfer(k, m, from_one), n - 1, None)), from_one)
-    if cache is not None:
-        for a, b in product(range(k + 1), range(m + 1)):
-            cache[n, a, b] = layer[a][b]
+    end0, end1 = next(islice(_transfer(n, k, m, from_one), n - 1, None))
+    if cache is None:
+        return _z_layer(end0[k:], end1[k:], from_one, n, m)[0][m]  # row k alone
+    layer = _z_layer(end0, end1, from_one, n, m)
+    for a, b in product(range(k + 1), range(m + 1)):
+        cache[n, a, b] = layer[a][b]
     return layer[k][m]
 
 
@@ -457,7 +491,9 @@ def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> 
     so :func:`_transfer` counts them by last bit bottom-up from "0".
     A given ``cache`` receives the cells of the final layer, so once warm it
     answers later queries at the same n; shared with the other recurrence, it
-    raises where the two routes disagree.
+    raises where the two routes disagree.  A pass whose grid would hold more
+    than ``TRANSFER_GRID_BITS`` = 2**30 bits, (k+1)(m+1)n, raises
+    ``ValueError("recurrence grid too large: ...")`` before it allocates one.
     """
     return _layer_cell(n, k, m, cache, False)
 
@@ -469,7 +505,8 @@ def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) 
     z(n-f, m, k+1-f): everything before the first 1 is a block of f leading
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
     the pair roles swapped, on one diagonal of the lower layers (see
-    :func:`_z_layer`).  ``cache`` works as for :func:`z_recur_split`.
+    :func:`_z_layer`).  ``cache`` and the grid bound work as for
+    :func:`z_recur_split`.
     """
     return _layer_cell(n, k, m, cache, True)
 

@@ -249,11 +249,12 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     )
 
     # the recurrences' passes, one per seed; a generator runs nothing until stepped
-    split_pass, firstone_pass = _transfer(max_n, max_n, False), _transfer(max_n, max_n, True)
+    split_pass = _transfer(max_n, max_n, max_n, False)
+    firstone_pass = _transfer(max_n, max_n, max_n, True)
     for n in range(1, max_n + 1):
         if do_linear:  # each pass steps once per length, and only for the linear checks
-            split = _z_layer(*next(split_pass), False)
-            firstone = _z_layer(*next(firstone_pass), True)
+            split = _z_layer(*next(split_pass), False, max_n, max_n)
+            firstone = _z_layer(*next(firstone_pass), True, max_n, max_n)
         for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
             if do_linear:
                 want = z_oracle(n, k, m)

@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -160,22 +161,32 @@ class TestCount:
         # stepped to the query's length n = 10
         transfer, built = bitpairs.counting._transfer, []
 
-        def counted(k, m, from_one):
-            record = [k, m, from_one, 0]  # the pass's arguments and grids drawn
+        def counted(n, k, m, from_one):
+            record = [n, k, m, from_one, 0]  # the pass's arguments and grids drawn
             built.append(record)
-            for grids in transfer(k, m, from_one):
-                record[3] += 1
+            for grids in transfer(n, k, m, from_one):
+                record[4] += 1
                 yield grids
 
         monkeypatch.setattr(bitpairs.counting, "_transfer", counted)
         for method, from_one in (("split", False), ("first-one", True)):
             args = ("count", "--n", "10", "--k", "2", "--m", "4", "--method", method)
             assert invoke(capsys, *args) == (0, "15\n", "")
-            assert built == [[2, 4, from_one, 10]]
+            assert built == [[10, 2, 4, from_one, 10]]
             built.clear()
             assert invoke(capsys, *args, "--circular") == (0, "75\n", "")
-            assert built == [[2, 4, from_one, 10]]
+            assert built == [[10, 2, 4, from_one, 10]]
             built.clear()
+
+    def test_recurrence_grid_over_budget_refused(self, capsys):
+        # 9001 x 9001 cells of 22000 bits a grid: refused before any row is built
+        refusal = "error: recurrence grid too large: (k+1)(m+1)n = 1782396022000 bits > 2**30\n"
+        for method in ("split", "first-one"):
+            for ring in ((), ("--circular",)):
+                start = time.perf_counter()
+                args = ("count", "--n", "22000", "--k", "9000", "--m", "9000", "--method", method)
+                assert invoke(capsys, *args, *ring) == (2, "", refusal), (method, ring)
+                assert time.perf_counter() - start < 1, (method, ring)
 
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")

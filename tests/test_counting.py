@@ -31,6 +31,7 @@ from bitpairs import (
 )
 from bitpairs.counting import (
     _COMB_CUTOFF,
+    _cells,
     _prime_power_binomial,
     _primes_to,
     _profiles,
@@ -335,7 +336,8 @@ class TestRecurrences:
         # with k > m, k < m and both beyond the k + m < n interior
         for n in range(1, 15):
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
-                layer = _z_layer(*next(islice(_transfer(k, m, from_one), n - 1, None)), from_one)
+                ends = next(islice(_transfer(n, k, m, from_one), n - 1, None))
+                layer = _z_layer(*ends, from_one, n, m)
                 assert [len(row) for row in layer] == [m + 1] * (k + 1), (n, k, m)
                 for a in range(k + 1):
                     for b in range(m + 1):
@@ -350,8 +352,10 @@ class TestRecurrences:
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
                 one_bit = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
                 zeros = [[0] * (m + 1) for _ in range(k + 1)]
-                from0 = list(islice(_transfer(k, m, False), n))
-                both = list(islice(_transfer(k, m, True), n))
+                # every grid of each pass to n, as cells of n bits
+                from0 = [[_cells(g, n, m) for g in ends] for ends in _transfer(n, k, m, False)]
+                both = [[_cells(g, n, m) for g in ends] for ends in _transfer(n, k, m, True)]
+                assert len(from0) == len(both) == n
                 for a in range(k + 1):
                     for b in range(m + 1):
                         z = z_oracle(n, a, b)
@@ -361,8 +365,32 @@ class TestRecurrences:
                         assert both[-1][0][a][b] == z, (n, a, b)
                         assert both[-1][1][a][b] == z_oracle(n, b, a), (n, a, b)
                 # the seeds, the grids at length 1, come back unchanged
-                assert from0[0] == (one_bit, zeros)
-                assert both[0] == (one_bit, one_bit)
+                assert from0[0] == [one_bit, zeros]
+                assert both[0] == [one_bit, one_bit]
+
+    @pytest.mark.parametrize("from_one", [False, True], ids=["split", "first-one"])
+    def test_narrowest_slots(self, from_one):
+        # a pass bounded at exactly n has n-bit slots, and its last layer
+        # holds the largest cells, up to 2**(n-1): every cell of the
+        # (n+1) x (n+1) readout, and first-one's end-in-1 grid, against z_auto
+        for n in range(1, 41):
+            end0, end1 = next(islice(_transfer(n, n, n, from_one), n - 1, None))
+            layer = _z_layer(end0, end1, from_one, n, n)
+            assert [len(row) for row in layer] == [n + 1] * (n + 1), n
+            assert layer == [[z_auto(n, a, b) for b in range(n + 1)] for a in range(n + 1)], n
+            if from_one:
+                want = [[z_auto(n, b, a) for b in range(n + 1)] for a in range(n + 1)]
+                assert _cells(end1, n, n) == want, n
+
+    def test_grid_budget(self):
+        # a pass of exactly TRANSFER_GRID_BITS a grid starts; one bit a row
+        # more is refused at its first step, before it builds a row
+        assert bitpairs.counting.TRANSFER_GRID_BITS == 2**30
+        end0, end1 = next(_transfer(2**10, 2**10 - 1, 2**10 - 1, True))
+        assert end0 == end1 == [1] + [0] * (2**10 - 1)
+        with pytest.raises(ValueError, match=r"^recurrence grid too large: "
+                           r"\(k\+1\)\(m\+1\)n = 1074790400 bits > 2\*\*30$"):
+            next(_transfer(2**10 + 1, 2**10 - 1, 2**10 - 1, True))
 
     @pytest.mark.parametrize(
         "recur,n,k,m,bound",
@@ -660,9 +688,11 @@ def transfer_mismatches(max_n):
     the one checked."""
     routes = bitpairs.counting
     found = []
-    passes = zip(_transfer(max_n, max_n, False), _transfer(max_n, max_n, True))
-    for n, (split_ends, firstone_ends) in zip(range(1, max_n + 1), passes):
-        split, firstone = _z_layer(*split_ends, False), _z_layer(*firstone_ends, True)
+    passes = zip(_transfer(max_n, max_n, max_n, False), _transfer(max_n, max_n, max_n, True))
+    for n, (split_ends, firstone_ends) in enumerate(passes, start=1):
+        split = _z_layer(*split_ends, False, max_n, max_n)
+        firstone = _z_layer(*firstone_ends, True, max_n, max_n)
+        end_bit = [_cells(rows, max_n, max_n) for rows in split_ends]
         for k in range(n + 1):
             for m in range(n + 1):
                 z = split[k][m]
@@ -673,7 +703,7 @@ def transfer_mismatches(max_n):
                 ]
                 if n >= 2:
                     keys = _ring_keys(k, m) + _ring_keys(m, k)
-                    ring = sum(split_ends[last][a][b] for a, b, last in keys if a >= 0)
+                    ring = sum(end_bit[last][a][b] for a, b, last in keys if a >= 0)
                     checks.append(("circular", routes.s_circular(n, k, m), ring))
                 found += [(n, k, m, route, got, want) for route, got, want in checks if got != want]
     return found

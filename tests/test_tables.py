@@ -24,13 +24,13 @@ from bitpairs.counting import z_reduce_to_m0 as real_reduce
 
 
 def _plus_one_at_5_1_1(seeded_from_one):
-    # the pass of that seed yields end0 with cell [1][1] one too high at n = 5;
-    # in a copy, as the pass steps on from the grids it yielded
-    def broken(k, m, from_one):
-        for n, (end0, end1) in enumerate(_transfer(k, m, from_one), start=1):
-            if n == 5 and from_one == seeded_from_one:
-                end0 = [row[:] for row in end0]
-                end0[1][1] += 1
+    # the pass of that seed yields end0 with cell [1][1] one too high at
+    # length 5; in a copy, as the pass steps on from the rows it yielded
+    def broken(n, k, m, from_one):
+        for length, (end0, end1) in enumerate(_transfer(n, k, m, from_one), start=1):
+            if length == 5 and from_one == seeded_from_one:
+                end0 = end0[:]
+                end0[1] += 1 << n  # row a = 1 holds cell b = 1 in its second n-bit slot
             yield end0, end1
 
     return broken
@@ -333,20 +333,20 @@ class TestVerifyAll:
     @pytest.mark.parametrize("mode", ["linear", "both", "circular"])
     def test_one_pass_per_seed(self, monkeypatch, mode):
         # verify_all steps each seed's pass once, to max_n, on the full grid:
-        # one record [k, m, from_one, grids drawn] per pass stepped; the
+        # one record [n, k, m, from_one, grids drawn] per pass stepped; the
         # circular mode reads no recurrence, so it steps none
         drawn = []
 
-        def counted(k, m, from_one):
-            record = [k, m, from_one, 0]
+        def counted(n, k, m, from_one):
+            record = [n, k, m, from_one, 0]
             drawn.append(record)
-            for grids in _transfer(k, m, from_one):
-                record[3] += 1
+            for grids in _transfer(n, k, m, from_one):
+                record[4] += 1
                 yield grids
 
         monkeypatch.setattr(bitpairs.tables, "_transfer", counted)
         assert verify_all(9, mode).success
-        assert drawn == ([] if mode == "circular" else [[9, 9, False, 9], [9, 9, True, 9]])
+        assert drawn == ([] if mode == "circular" else [[9, 9, 9, False, 9], [9, 9, 9, True, 9]])
 
     def test_fault_injection_circular(self, monkeypatch):
         monkeypatch.setattr(
