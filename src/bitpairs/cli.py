@@ -164,11 +164,15 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _count_arguments(p: argparse.ArgumentParser) -> None:
+def _profile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=_nonneg, required=True, help="string length")
     p.add_argument("--k", type=_nonneg, required=True, help="number of 0-pairs")
     p.add_argument("--m", type=_nonneg, required=True, help="number of 1-pairs")
     p.add_argument("--circular", action="store_true", help="wraparound adjacency")
+
+
+def _count_arguments(p: argparse.ArgumentParser) -> None:
+    _profile_arguments(p)
     p.add_argument("--method", choices=METHODS, default="auto")
 
 
@@ -190,13 +194,6 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mode", choices=VERIFY_MODES, default="both")
 
 
-def _enumerate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--k", type=_nonneg, required=True)
-    p.add_argument("--m", type=_nonneg, required=True)
-    p.add_argument("--circular", action="store_true")
-
-
 def _bijection_arguments(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--string", default=None, help="string to map to positions")
@@ -210,7 +207,7 @@ _COMMANDS = {
     "table": ("all counts for one length as a table", _table_arguments, _cmd_table),
     "triangle": ("rows of the A046854 triangle", _triangle_arguments, _cmd_triangle),
     "verify": ("cross-check all methods against the oracles", _verify_arguments, _cmd_verify),
-    "enumerate": ("list the counted strings, one per line", _enumerate_arguments, _cmd_enumerate),
+    "enumerate": ("list the counted strings, one per line", _profile_arguments, _cmd_enumerate),
     "bijection": ("map a 1-pair-free string to its 0-pair positions, or back",
                   _bijection_arguments, _cmd_bijection),
 }

@@ -270,14 +270,8 @@ def linear_pair_counts(b: str) -> PairProfile:
     k counts indices i in 0..n-2 with b[i] = b[i+1] = 0, m likewise for 1s.
     """
     _require_bits(b)
-    k = m = 0
-    for x, y in zip(b, b[1:]):
-        if x == y:
-            if x == "0":
-                k += 1
-            else:
-                m += 1
-    return PairProfile(len(b), k, m)
+    pairs = [x for x, y in zip(b, b[1:]) if x == y]  # the bit of each adjacent equal pair
+    return PairProfile(len(b), pairs.count("0"), pairs.count("1"))
 
 
 def circular_pair_counts(b: str) -> PairProfile:

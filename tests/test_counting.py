@@ -193,6 +193,17 @@ class TestDecimalDigits:
             with pytest.raises(ValueError):
                 decimal_int(text)
 
+    def test_refused_without_decimal_module(self, lowest_digit_limit, monkeypatch):
+        # where _decimal is missing, a value past the limit keeps str()'s own refusal
+        value = 10**700
+        with pytest.raises(ValueError) as refused:
+            str(value)
+        monkeypatch.setitem(sys.modules, "_decimal", None)  # `import _decimal` now fails
+        with pytest.raises(ValueError) as raised:
+            decimal_digits(value)
+        assert str(raised.value) == str(refused.value)
+        assert decimal_digits(10**639) == "1" + "0" * 639
+
     def test_seeded_random(self, lowest_digit_limit, unlimited_str):
         rng = random.Random(20261019)
         # bit lengths log-uniform from 2**11 to 2**18, then one of 600000
@@ -609,6 +620,46 @@ class TestTriangle:
                 assert terquem_T(n - 1, k) == z_oracle(n, k, 0), (n, k)
 
 
+def interior_points(count, seed):
+    """count seeded (n, k, m) with 5000 <= n <= 10**5 and k + m <= n - 2, so
+    z > 0: n log-uniform, and k/n and m/n each log-uniform from 0.001 to 0.5,
+    so that math.comb answers some binomials of z and the kernel others."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        n = round(10 ** rng.uniform(math.log10(5000), 5))
+        k, m = (round(n * 10 ** rng.uniform(-3, math.log10(0.5))) for _ in "km")
+        if k + m <= n - 2:
+            points.append((n, k, m))
+    return points
+
+
+INTERIOR_POINTS = interior_points(200, 20261019)
+RING_POINTS = [p for p in INTERIOR_POINTS if sum(p) % 2 == 0]  # where the ring count is not 0
+
+
+def last_bit_mismatches(points):
+    """(n, k, m, got, want) wherever z_auto(n, k, m) differs from the sum over
+    the last bit.  A counted string ends in 0 exactly when r = n - k - m is
+    odd; deleting that bit shortens the last run, leaving z(n-1, k-1, m)
+    strings, or removes it, leaving z(n-1, k, m).  For r even the last bit
+    is 1 and the sum is z(n-1, k, m-1) + z(n-1, k, m).  With z_base_case
+    the rule fixes z by induction on n, so it checks the runs count's
+    derivation, not its transcription.  z_auto is looked up on the module,
+    so a monkeypatched one is the one checked."""
+    z = bitpairs.counting.z_auto
+    found = []
+    for n, k, m in points:
+        if (n - k - m) % 2:
+            want = z(n - 1, k - 1, m) + z(n - 1, k, m)
+        else:
+            want = z(n - 1, k, m - 1) + z(n - 1, k, m)
+        got = z(n, k, m)
+        if got != want:
+            found.append((n, k, m, got, want))
+    return found
+
+
 class TestAuto:
     def test_examples(self):
         assert z_auto(8, 2, 2) == 9
@@ -632,6 +683,28 @@ class TestAuto:
     def test_matches_reduction_at_scale(self, n, k, m):
         assert z_auto(n, k, m) == z_reduce_to_m0(n, k, m)
 
+    def test_last_bit_rule(self, monkeypatch):
+        # the points whose z takes a binomial from the kernel, found with
+        # both binomial routes stubbed out so that nothing is multiplied
+        routed = []
+        with monkeypatch.context() as stubs:
+            stubs.setattr(math, "comb", lambda a, b: 1)
+            for p in INTERIOR_POINTS:
+                stubs.setattr(bitpairs.counting, "_prime_power_binomial",
+                              lambda a, b, p=p: routed.append(p) or 1)
+                z_auto(*p)
+        assert len(set(routed)) >= len(INTERIOR_POINTS) // 4
+        grid = [(n, k, m) for n in range(2, 17) for k in range(-1, n + 3) for m in range(-1, n + 3)]
+        assert last_bit_mismatches(grid + INTERIOR_POINTS) == []
+
+    def test_last_bit_rule_reports_a_wrong_z_auto(self, monkeypatch):
+        real = bitpairs.counting.z_auto
+        monkeypatch.setattr(bitpairs.counting, "z_auto",
+                            lambda n, k, m: real(n, k, m) + ((n, k, m) == (5001, 1200, 700)))
+        z = real(5001, 1200, 700)
+        found = last_bit_mismatches(INTERIOR_POINTS + [(5001, 1200, 700)])
+        assert found == [(5001, 1200, 700, z + 1, z)]
+
     def test_independent_of_reduction_and_closed_form(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("z_auto must not use another route")
@@ -642,6 +715,23 @@ class TestAuto:
             for k in range(n + 1):
                 for m in range(n + 1):
                     assert z_auto(n, k, m) == z_oracle(n, k, m), (n, k, m)
+
+
+def four_term_mismatches(points):
+    """(n, k, m, got, want) wherever s_circular(n, k, m) differs from the
+    former definition: split over the leading bit and whether the
+    wraparound slot closes a pair, the 1-led strings by bit inversion, so
+    z(n, k, m) + z(n, k-1, m) + z(n, m, k) + z(n, m-1, k) for n + k + m
+    even and 0 otherwise.  The routes are looked up on the module, so a
+    monkeypatched one is the one checked."""
+    s, z = bitpairs.counting.s_circular, bitpairs.counting.z_auto
+    found = []
+    for n, k, m in points:
+        want = 0 if (n + k + m) % 2 else z(n, k, m) + z(n, k - 1, m) + z(n, m, k) + z(n, m - 1, k)
+        got = s(n, k, m)
+        if got != want:
+            found.append((n, k, m, got, want))
+    return found
 
 
 class TestCircular:
@@ -659,19 +749,18 @@ class TestCircular:
         assert s_circular(2, 0, 0) == s_circular_oracle(2, 0, 0) == 2
 
     def test_equals_four_term_sum(self):
-        # the former definition: split over the leading bit and whether the
-        # wraparound slot closes a pair, the 1-led strings by bit inversion
-        def four_terms(n, k, m):
-            if (n + k + m) % 2 == 1:
-                return 0
-            return z_auto(n, k, m) + z_auto(n, k - 1, m) + z_auto(n, m, k) + z_auto(n, m - 1, k)
+        grid = [(n, k, m) for n in range(2, 17) for k in range(-1, n + 3) for m in range(-1, n + 3)]
+        scale = [(5000, 1200, 800), (50000, 12000, 8000), (50000, 12001, 8001)]
+        assert four_term_mismatches(grid + scale + RING_POINTS) == []
 
-        for n in range(2, 17):
-            for k in range(-1, n + 3):
-                for m in range(-1, n + 3):
-                    assert s_circular(n, k, m) == four_terms(n, k, m), (n, k, m)
-        for n, k, m in [(5000, 1200, 800), (50000, 12000, 8000), (50000, 12001, 8001)]:
-            assert s_circular(n, k, m) == four_terms(n, k, m)
+    def test_four_term_sum_reports_a_wrong_s_circular(self, monkeypatch):
+        real = bitpairs.counting.s_circular
+        monkeypatch.setattr(bitpairs.counting, "s_circular",
+                            lambda n, k, m: real(n, k, m) - ((n, k, m) == (5002, 1200, 700)))
+        s = real(5002, 1200, 700)
+        assert s > 0
+        found = four_term_mismatches(RING_POINTS + [(5002, 1200, 700)])
+        assert found == [(5002, 1200, 700, s - 1, s)]
 
     def test_pluggable_evaluator(self):
         cache = MemoCache()

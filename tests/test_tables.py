@@ -142,6 +142,7 @@ class TestRenderZTable:
             (header + "100000,0,0,1\n", "unexpected cell"),  # no 10**10-cell grid is built
             (header + "2,0,0,1\n2,0,0,1\n2,1,0,0\n2,1,1,0\n", "unexpected cell"),  # duplicate
             (header + "2,0,1,0\n2,0,0,1\n2,1,0,0\n2,1,1,0\n", "unexpected cell"),  # order
+            (header + "2,0,0,1\n3,0,1,0\n2,1,0,1\n2,1,1,0\n", "inconsistent n"),
             (header + "0,0,0,1\n", "below length 2"),  # circular n = 0
             (header + "1,0,0,1\n1,0,1,0\n1,1,0,0\n1,1,1,0\n", "below length 2"),
         ):
