@@ -216,7 +216,7 @@ _COMMANDS = {
 def _add_command(p: argparse.ArgumentParser, command: str) -> None:
     _, add_arguments, func = _COMMANDS[command]
     add_arguments(p)
-    p.set_defaults(func=func, command=command)
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:

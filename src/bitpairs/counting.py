@@ -57,7 +57,8 @@ either share a cache or use one per thread with identical results.  Two
 hidden caches never change a result, and both are
 ``functools.lru_cache``s of pure functions: the oracles' histogram per n,
 n within the oracle limit, and the kernel's table of the primes up to each
-power of two it has needed.  ``cache_clear()`` empties either.
+power of two it has needed, at most ``PRIME_TABLE_LIMIT`` = 2**25.
+``cache_clear()`` empties either.
 """
 
 from __future__ import annotations
@@ -116,7 +117,9 @@ def binomial(a: int, b: int) -> int:
     """C(a, b), defined as 0 whenever a < 0, b < 0 or b > a.
 
     math.comb answers while b * b <= _COMB_CUTOFF * a, with b = min(b, a-b);
-    beyond that the prime-power kernel does.
+    beyond that the prime-power kernel does, for a <= ``PRIME_TABLE_LIMIT``
+    = 2**25.  Past that bound the kernel raises a ValueError, "binomial too
+    large for the prime table: ...", before it builds a table.
     """
     if a < 0 or b < 0 or b > a:
         return 0
@@ -137,6 +140,14 @@ def binomial(a: int, b: int) -> int:
 # fast or faster.  3.12 breaks even at about the same points, 3.10 (a slower
 # math.comb) below b * b = 40 * a.
 _COMB_CUTOFF = 250
+
+# the largest a of a C(a, b) the kernel answers, and so its largest prime
+# table, the primes up to 2**25: a 16 MiB sieve and 2.06M primes in 16.5 MB.
+# At (n, 0.24n, 0.16n) that admits n up to 6.2e7, a count that took 77 s
+# and peaked at 108 MB RSS on CPython 3.11; the largest at 2**24, n = 3.1e7,
+# took 22 s and 71 MB, and the n = 1.6e7 headline needs 2**24
+PRIME_TABLE_LIMIT = 1 << 25
+
 
 @lru_cache(maxsize=None)
 def _primes_to(limit: int) -> array:
@@ -173,6 +184,8 @@ def _prime_power_binomial(a: int, b: int) -> int:
     """
     b = min(b, a - b)
     r = a - b
+    if a > PRIME_TABLE_LIMIT:  # its table would hold the primes past 2**25
+        raise ValueError(f"binomial too large for the prime table: C({a}, {b}), a > 2**25")
     primes = _primes_to(1 << (a - 1).bit_length())  # one table per power of two
     root = math.isqrt(a)
     above = max(b, root)

@@ -217,12 +217,15 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     four fast linear methods against :func:`z_oracle`, the closed form on
     the m = 0 column, and the circular formula against
     :func:`s_circular_oracle`; plus, always, the z(n,0,m) = z(n-1,m,0)
-    identity and the end-bit parity rule, checked once per (k, m, equal
-    ends) that a length-n string has (the oracle histogram's keys and their
-    complements') and counted as 2**n checks.  When a linear check runs, the
-    two recurrences are read off one transfer pass per seed on the
-    (max_n + 1) x (max_n + 1) grid, stepped once per length; the circular
-    mode steps none.  max_n runs from 2 to the oracle limit,
+    identity and the end-bit parity rule.  Each check at a length n is one
+    (k, m, method, got, expected) record in one list, and a mismatch is a
+    record whose got differs from its expected.  Every record counts as one
+    check, except that the parity rule, checked once per (k, m, equal ends)
+    that a length-n string has (the oracle histogram's keys and their
+    complements'), weighs 2**n checks, one per string.  When a linear check
+    runs, the two recurrences are read off one transfer pass per seed on
+    the (max_n + 1) x (max_n + 1) grid, stepped once per length; the
+    circular mode steps none.  max_n runs from 2 to the oracle limit,
     ``DEFAULT_ORACLE_LIMIT`` = 20.  The report lists every mismatch sorted
     by (n, k, m, method); success means none.
     """
@@ -235,12 +238,6 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     mismatches: list[Mismatch] = []
     checks = 0
 
-    def compare(n: int, k: int, m: int, method: str, got: int, expected: int) -> None:
-        nonlocal checks
-        checks += 1
-        if got != expected:
-            mismatches.append(Mismatch(n, k, m, method, got, expected))
-
     do_linear, do_circular = mode != "circular", mode != "linear"
     methods = (
         ("split", "first-one", "reduce", "auto", "closed") * do_linear
@@ -252,21 +249,27 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     split_pass = _transfer(max_n, max_n, max_n, False)
     firstone_pass = _transfer(max_n, max_n, max_n, True)
     for n in range(1, max_n + 1):
+        records = []  # (k, m, method, got, expected), one per check at length n
         if do_linear:  # each pass steps once per length, and only for the linear checks
             split = _z_layer(*next(split_pass), False, max_n, max_n)
             firstone = _z_layer(*next(firstone_pass), True, max_n, max_n)
-        for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
-            if do_linear:
+            for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
                 want = z_oracle(n, k, m)
-                compare(n, k, m, "split", split[k][m], want)
-                compare(n, k, m, "first-one", firstone[k][m], want)
-                compare(n, k, m, "reduce", z_reduce_to_m0(n, k, m), want)
-                compare(n, k, m, "auto", z_auto(n, k, m), want)
+                records += [
+                    (k, m, "split", split[k][m], want),
+                    (k, m, "first-one", firstone[k][m], want),
+                    (k, m, "reduce", z_reduce_to_m0(n, k, m), want),
+                    (k, m, "auto", z_auto(n, k, m), want),
+                ]
                 if m == 0:
-                    compare(n, k, 0, "closed", z_closed_m0(n, k), want)
-            if do_circular and n >= 2:
-                want = s_circular_oracle(n, k, m)
-                compare(n, k, m, "circular", s_circular(n, k, m), want)
+                    records.append((k, 0, "closed", z_closed_m0(n, k), want))
+        if do_circular and n >= 2:
+            for k, m in _grid(n, "circular"):
+                records.append((k, m, "circular", s_circular(n, k, m), s_circular_oracle(n, k, m)))
+
+        # the 0-pair-free column collapses to the previous length's m = 0 column
+        for m in range(n - 1):
+            records.append((0, m, "column-collapse", z_auto(n, 0, m), z_auto(n - 1, m, 0)))
 
         # end-bit parity rule, once per (k, m, whether the first and last bits
         # agree): the histogram keys (k, m, e) of the strings that start with 0
@@ -275,20 +278,16 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
         seen = {(a, b, not e) for k, m, e in _profile_histogram(n) for a, b in ((k, m), (m, k))}
         for k, m, ends in seen:
             predicted = wrap_parity_predicts_equal_ends(n, k, m)
-            if ends != predicted:
-                mismatches.append(Mismatch(n, k, m, "end-parity", int(ends), int(predicted)))
-        checks += 1 << n
+            records.append((k, m, "end-parity", int(ends), int(predicted)))
 
-        # the 0-pair-free column collapses to the previous length's m = 0 column
-        for m in range(max(0, n - 1)):
-            compare(n, 0, m, "column-collapse", z_auto(n, 0, m), z_auto(n - 1, m, 0))
+        checks += len(records) - len(seen) + (1 << n)  # parity weighs 2**n, one per string
+        mismatches += [Mismatch(n, *record) for record in records if record[3] != record[4]]
 
-    mismatches.sort(key=lambda w: (w.n, w.k, w.m, w.method))
     return VerifyReport(
         max_n=max_n,
         mode=mode,
         methods=methods,
         checks=checks,
-        mismatches=tuple(mismatches),
+        mismatches=tuple(sorted(mismatches)),
         elapsed=time.perf_counter() - start,
     )

@@ -188,6 +188,18 @@ class TestCount:
                 assert invoke(capsys, *args, *ring) == (2, "", refusal), (method, ring)
                 assert time.perf_counter() - start < 1, (method, ring)
 
+    def test_prime_table_over_bound_refused(self, capsys):
+        # z's first binomial, C(5399999999, 2400000000), needs a table past
+        # 2**25: refused before the sieve, linear and circular alike
+        refusal = (
+            "error: binomial too large for the prime table: C(5399999999, 2400000000), a > 2**25\n"
+        )
+        for ring in ((), ("--circular",)):
+            start = time.perf_counter()
+            args = ("count", "--n", "10000000000", "--k", "2400000000", "--m", "1600000000")
+            assert invoke(capsys, *args, *ring) == (2, "", refusal), ring
+            assert time.perf_counter() - start < 1, ring
+
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")
         assert code == 0

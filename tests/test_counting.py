@@ -125,6 +125,29 @@ class TestPrimePowerKernel:
                 for b in sorted(b for b in bs if 0 <= b <= a):
                     assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
 
+    def test_table_bound_refuses_before_the_sieve(self, monkeypatch):
+        # a C(a, b) whose table would pass PRIME_TABLE_LIMIT is refused with
+        # one line, and no table is built; math.comb still answers any a
+        assert bitpairs.counting.PRIME_TABLE_LIMIT == 2**25
+        _primes_to.cache_clear()
+        with pytest.raises(ValueError) as refused:
+            binomial(2**25 + 1, 2**24)
+        assert str(refused.value) == (
+            "binomial too large for the prime table: C(33554433, 16777216), a > 2**25"
+        )
+        with pytest.raises(ValueError, match=r"^binomial too large for the prime table: C\(5"):
+            z_auto(10**10, 24 * 10**8, 16 * 10**8)
+        assert _primes_to.cache_info().currsize == 0
+        assert binomial(10**12, 3) == math.comb(10**12, 3)
+        assert _primes_to.cache_info().currsize == 0
+        # a = 2**25 itself still asks for its table (stubbed: no sieve runs)
+        def asked(limit):
+            raise LookupError(limit)
+
+        monkeypatch.setattr(bitpairs.counting, "_primes_to", asked)
+        with pytest.raises(LookupError, match=f"^{2**25}$"):
+            binomial(2**25, 2**24)
+
     def test_math_comb_leaves_the_table_alone(self):
         _primes_to.cache_clear()
         assert binomial(10**9, 3) == math.comb(10**9, 3)

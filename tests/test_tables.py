@@ -17,6 +17,7 @@ from bitpairs import (
     terquem_T,
     verify_all,
     z_auto,
+    z_oracle,
     z_table,
 )
 from bitpairs.counting import _transfer, z_closed_m0
@@ -330,6 +331,16 @@ class TestVerifyAll:
         monkeypatch.setattr(bitpairs.tables, name, broken)
         report = verify_all(6, "linear")
         assert report.mismatches == tuple(expected)
+
+    def test_fault_injection_oracle(self, monkeypatch):
+        # the oracle one too high at a cell of the m = 0 column: every linear
+        # route disagrees with it there, once each, in method order
+        monkeypatch.setattr(bitpairs.tables, "z_oracle", _plus_one_at((5, 1, 0), z_oracle))
+        report = verify_all(6, "linear")
+        assert report.mismatches == tuple(
+            Mismatch(5, 1, 0, method, 2, 3)
+            for method in ("auto", "closed", "first-one", "reduce", "split")
+        )
 
     @pytest.mark.parametrize("mode", ["linear", "both", "circular"])
     def test_one_pass_per_seed(self, monkeypatch, mode):
