@@ -15,8 +15,10 @@ the same prog, as the subparser that `build_parser` hangs under `bitpairs`,
 so its help, messages and exit codes are the nested route's.  The full
 parser is built only for the calls that name no subcommand: no argument,
 `--help`, an unknown command or a leading option.  Importing this module
-builds nothing.  Only `counting` is imported with this module; each
-subcommand imports `tables` or `enumeration` when it runs, so a `count`
+builds nothing.  Only `counting` is imported with this module.  The
+parsers of `table`, `triangle` and `verify` import `tables`, which holds
+their `--format` and `--mode` choices, so the full parser loads it too;
+`enumerate` and `bijection` import `enumeration` when they run.  A `count`
 process loads neither.
 
 `run` changes no interpreter-wide setting, so calls may overlap across
@@ -41,9 +43,6 @@ from functools import cache
 from typing import Optional
 
 from .counting import (
-    TRIANGLE_FORMATS,
-    VERIFY_MODES,
-    Z_TABLE_FORMATS,
     _check_length,
     decimal_digits,
     s_circular,
@@ -177,6 +176,8 @@ def _count_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _table_arguments(p: argparse.ArgumentParser) -> None:
+    from .tables import Z_TABLE_FORMATS
+
     p.add_argument("--n", type=_nonneg, required=True)
     p.add_argument("--circular", action="store_true")
     p.add_argument("--format", choices=Z_TABLE_FORMATS, default="csv")
@@ -184,12 +185,16 @@ def _table_arguments(p: argparse.ArgumentParser) -> None:
 
 
 def _triangle_arguments(p: argparse.ArgumentParser) -> None:
+    from .tables import TRIANGLE_FORMATS
+
     p.add_argument("--rows", type=_nonneg, required=True)
     p.add_argument("--format", choices=TRIANGLE_FORMATS, default="csv")
     p.add_argument("--out", default=None, help="write to a file instead of stdout")
 
 
 def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .tables import VERIFY_MODES
+
     p.add_argument("--max-n", type=_nonneg, required=True, dest="max_n")
     p.add_argument("--mode", choices=VERIFY_MODES, default="both")
 

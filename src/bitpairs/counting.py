@@ -24,14 +24,17 @@ closed form; and those two and the runs count take every binomial from
 * :func:`z_closed_m0` -- closed form for that column;
 * :func:`z_auto` -- the runs count, two binomials: the fast path.
 
-The oracles, the enumerators and ``verify_all``'s end-bit parity check share
-one scan of the 2**(n-1) strings that start with 0 (:func:`_profiles`).  It
-reads each string's pair counts off the bits of its index with
+The oracles, ``enumerate_Z`` and ``verify_all``'s end-bit parity check
+share one scan of the 2**(n-1) strings that start with 0 (:func:`_profiles`).
+It reads each string's pair counts off the bits of its index with
 ``int.bit_count``, and the last bit fixes the ring the string closes into
-(:func:`_ring_keys`).  No scan visits a string that starts with 1: each is
-the complement of one that starts with 0, with k and m swapped.
-:func:`linear_pair_counts` and :func:`circular_pair_counts` remain the
-string-level definitions the scan and the rings are tested against.
+(:func:`_ring_keys`).  This scan visits no string that starts with 1: each
+is the complement of one that starts with 0, with k and m swapped.  A ring
+listing prints strings of either leading bit, so ``enumerate_circular``
+scans all 2**n strings once instead, pairing each bit with its neighbour in
+a one-place rotation.  :func:`linear_pair_counts` and
+:func:`circular_pair_counts` remain the string-level definitions the scans
+and the rings are tested against.
 
 The transfer pass steps bottom-up to a length n on two grids of the
 query's (k + 1) x (m + 1) cells, one per last bit, so the recurrences'
@@ -72,13 +75,9 @@ from itertools import compress, islice, product
 from operator import add
 from typing import Callable, Iterator, NamedTuple, Optional
 
-# the one bound on every exhaustive scan: a pass reads the 2**(n-1) strings
-# that start with 0, so at most 2**19 at n = 20
+# the one bound on every exhaustive scan: at n = 20 a pass reads the 2**19
+# strings that start with 0, and a ring listing all 2**20 strings
 DEFAULT_ORACLE_LIMIT = 20
-# the choices of `tables` and the CLI, kept here so building the parser imports no tables
-Z_TABLE_FORMATS = ("csv", "tsv", "json")
-TRIANGLE_FORMATS = ("csv", "bfile")
-VERIFY_MODES = ("linear", "circular", "both")
 
 _Grid = list[list[int]]  # cell [a][b] for profile (a, b), 0 <= a <= k, 0 <= b <= m
 
@@ -116,15 +115,20 @@ class MemoCache(dict):
 def binomial(a: int, b: int) -> int:
     """C(a, b), defined as 0 whenever a < 0, b < 0 or b > a.
 
-    math.comb answers while b * b <= _COMB_CUTOFF * a, with b = min(b, a-b);
-    beyond that the prime-power kernel does, for a <= ``PRIME_TABLE_LIMIT``
-    = 2**25.  Past that bound the kernel raises a ValueError, "binomial too
-    large for the prime table: ...", before it builds a table.
+    math.comb answers while b * b <= _COMB_CUTOFF * a, with b = min(b, a-b),
+    for b <= 2**17; a larger b there, which needs a > 6.8e7, raises a
+    ValueError, "binomial too large for math.comb: ...", before math.comb
+    runs.  Beyond the cut-off the prime-power kernel answers, for
+    a <= ``PRIME_TABLE_LIMIT`` = 2**25.  Past that bound the kernel raises a
+    ValueError, "binomial too large for the prime table: ...", before it
+    builds a table.
     """
     if a < 0 or b < 0 or b > a:
         return 0
     b = min(b, a - b)
     if b * b <= _COMB_CUTOFF * a:
+        if b > 1 << 17:  # math.comb's divisions are quadratic; see _COMB_CUTOFF
+            raise ValueError(f"binomial too large for math.comb: C({a}, {b}), b > 2**17")
         return math.comb(a, b)
     return _prime_power_binomial(a, b)
 
@@ -138,7 +142,10 @@ def binomial(a: int, b: int) -> int:
 # faster at a = 1000, 4x at 10**4 and 5-6x at 10**5 to 3 * 10**5; a cut-off
 # of 150-200 would hand it binomials at a = 600-800 where math.comb is as
 # fast or faster.  3.12 breaks even at about the same points, 3.10 (a slower
-# math.comb) below b * b = 40 * a.
+# math.comb) below b * b = 40 * a.  math.comb's side is bounded at b = 2**17,
+# where it took about 3 s at a = 10**10 on 3.11 (0.8-0.9 s at b = 2**16); the cut-off sends
+# such a b to math.comb only above a = 2**34 / 250, about 6.8e7, where the
+# kernel's table is refused too.
 _COMB_CUTOFF = 250
 
 # the largest a of a C(a, b) the kernel answers, and so its largest prime

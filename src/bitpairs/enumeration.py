@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .counting import _check_length, _check_oracle_n, _require_bits
-from .counting import _profiles, _ring_keys  # the scan of the strings that start with 0
+from .counting import _check_length, _check_oracle_n, _profiles, _require_bits
 
 _INVERT = str.maketrans("01", "10")
 
@@ -37,18 +36,22 @@ def enumerate_Z(n: int, k: int, m: int) -> list[str]:
 def enumerate_circular(n: int, k: int, m: int) -> list[str]:
     """All length-n strings (either leading bit) with circular profile (k, m).
 
-    Lexicographic order.  Two scans of the 2**(n-1) strings that start with
-    0, so n is refused above the oracle limit, as in :func:`enumerate_Z`.
-    The first lists those that close into (k, m) rings (see
-    :func:`~bitpairs.counting._ring_keys`).  The second finds those that
-    close into (m, k) rings: their complements are the listed strings that
-    start with 1, in descending order, so they are reversed.
+    Lexicographic order: one ascending scan of all 2**n strings, so n is
+    refused above the oracle limit, as in :func:`enumerate_Z`.  String v,
+    read as format(v, f"0{n}b"), rotated one place is w, which holds under
+    each bit of v the bit before it on the ring (under the first bit, the
+    last).  So each of the n slots is a 1-pair where v & w has a set bit and
+    a 0-pair where v | w has a clear one; for n = 2 both orderings count, as
+    in :func:`~bitpairs.counting.circular_pair_counts`.
     """
     _check_oracle_n(n, True)
     width, ones = f"0{n}b", (1 << n) - 1
-    zero, one = _ring_keys(k, m), _ring_keys(m, k)
-    tail = [format(v ^ ones, width) for v, a, b in _profiles(n) if (a, b, v & 1) in one]
-    return [format(v, width) for v, a, b in _profiles(n) if (a, b, v & 1) in zero] + tail[::-1]
+    return [
+        format(v, width)
+        for v in range(1 << n)
+        if ((w := v >> 1 | (v & 1) << n - 1) & v).bit_count() == m
+        and (ones ^ (v | w)).bit_count() == k
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +81,14 @@ def to_terquem(b: str) -> tuple[int, ...]:
 
 
 def _validate_terquem(t: Sequence[int], bound: int) -> None:
-    prev = 0
-    for i, v in enumerate(t, start=1):
+    for i, (prev, v) in enumerate(zip((0, *t), t), start=1):
         if not 1 <= v <= bound:
             raise ValueError(f"invalid Terquem sequence: entry {v} outside 1..{bound}")
         if v <= prev:
-            raise ValueError(
-                "invalid Terquem sequence: entries must be strictly increasing"
-            )
+            raise ValueError("invalid Terquem sequence: entries must be strictly increasing")
         if v % 2 != i % 2:  # entry i has the parity of i, so the first is odd
-            if i == 1:
-                raise ValueError("invalid Terquem sequence: first entry must be odd")
-            raise ValueError("invalid Terquem sequence: entries must alternate parity")
-        prev = v
+            rule = "first entry must be odd" if i == 1 else "entries must alternate parity"
+            raise ValueError(f"invalid Terquem sequence: {rule}")
 
 
 def from_terquem(t: Sequence[int], n: int) -> str:

@@ -21,9 +21,6 @@ import time
 from typing import NamedTuple
 
 from .counting import (
-    TRIANGLE_FORMATS,
-    VERIFY_MODES,
-    Z_TABLE_FORMATS,
     _check_length,
     _check_oracle_n,
     _profile_histogram,
@@ -40,6 +37,11 @@ from .counting import (
     z_oracle,
     z_reduce_to_m0,
 )
+
+# the choices of the renderers and verify_all, and of the CLI options that pass them on
+Z_TABLE_FORMATS = ("csv", "tsv", "json")
+TRIANGLE_FORMATS = ("csv", "bfile")
+VERIFY_MODES = ("linear", "circular", "both")
 
 _HEADER = ("n", "k", "m", "count")  # the one table layout, in column order
 _SEPARATORS = {"csv": ",", "tsv": "\t"}

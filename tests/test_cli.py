@@ -200,6 +200,18 @@ class TestCount:
             assert invoke(capsys, *args, *ring) == (2, "", refusal), ring
             assert time.perf_counter() - start < 1, ring
 
+    def test_math_comb_over_bound_refused(self, capsys):
+        # z's first binomial, C(5000499998, 1000000), is math.comb's by the
+        # cut-off but past its bound: refused at once, linear and circular
+        refusal = "error: binomial too large for math.comb: C(5000499998, 1000000), b > 2**17\n"
+        for ring in ((), ("--circular",)):
+            start = time.perf_counter()
+            args = ("count", "--n", "10000000000", "--k", "1000000", "--m", "2")
+            assert invoke(capsys, *args, *ring) == (2, "", refusal), ring
+            assert time.perf_counter() - start < 1, ring
+        thin = invoke(capsys, "count", "--n", "10000000000", "--k", "2", "--m", "2")
+        assert thin == (0, "156249999812500000081249999985000000001\n", "")
+
     def test_large_n_fast_path(self, capsys):
         code, out, _ = invoke(capsys, "count", "--n", "200", "--k", "30", "--m", "20")
         assert code == 0

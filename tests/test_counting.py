@@ -180,9 +180,25 @@ class TestPrimePowerKernel:
         assert binomial(a, a - b - 1) == want[b + 1]
         assert comb_calls == []
 
+    def test_math_comb_bound(self, monkeypatch):
+        # past b = 2**17 a binomial that the cut-off sends to math.comb is
+        # refused with one line, before math.comb runs
+        with pytest.raises(ValueError) as refused:
+            binomial(10**10, 2**17 + 1)
+        assert str(refused.value) == (
+            "binomial too large for math.comb: C(10000000000, 131073), b > 2**17"
+        )
+        assert binomial(10**10, 2) == math.comb(10**10, 2)
+        comb_calls = []
+        monkeypatch.setattr(math, "comb", lambda a, b: comb_calls.append((a, b)) or 1)
+        assert binomial(10**10, 10**10 - 2**17) == 1  # b = 2**17 itself still answers
+        with pytest.raises(ValueError, match=r"C\(10000000000, 131073\), b > 2\*\*17$"):
+            binomial(10**10, 10**10 - 2**17 - 1)
+        assert comb_calls == [(10**10, 2**17)]
+
 
 def assert_scan_matches_strings():
-    # the bitwise scan behind the oracles, the enumerators and verify_all
+    # the bitwise scan behind the oracles, enumerate_Z and verify_all
     # reads (index, k, m) of every string that starts with 0, in order
     for n in range(1, 13):
         strings = [b for b in (format(v, f"0{n}b") for v in range(1 << n)) if b[0] == "0"]

@@ -69,8 +69,8 @@ class TestEnumerate:
                     assert len(enumerate_circular(n, k, m)) == s_circular_oracle(n, k, m)
 
     def test_circular_matches_strings(self):
-        # string-level ground truth for the ring rule both ring routes share:
-        # every length-n string, either leading bit, by its circular profile
+        # string-level ground truth for the oracle's ring rule and the
+        # listing's rotation scan: every length-n string by its circular profile
         for n in range(2, 11):
             rings = {}
             for v in range(1 << n):
@@ -149,6 +149,23 @@ class TestFromTerquem:
             from_terquem((5,), 5)
         with pytest.raises(ValueError):
             from_terquem((), 0)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [
+            ((2, 0), "first entry must be odd"),
+            ((1, 0), "entry 0 outside 1..5"),
+            ((1, 1), "entries must be strictly increasing"),
+            ((1, 3, 2), "entries must alternate parity"),
+            ((1, 2, 6), "entry 6 outside 1..5"),
+            ((1, 4, 3), "entries must be strictly increasing"),
+        ],
+    )
+    def test_first_failing_entry_decides(self, t, message):
+        # entries are checked in order, each for range, order, then parity
+        with pytest.raises(ValueError) as refused:
+            from_terquem(t, 6)
+        assert str(refused.value) == f"invalid Terquem sequence: {message}"
 
     @given(terquem_cases())
     def test_round_trip_from_generated_sequences(self, case):
