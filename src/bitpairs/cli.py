@@ -3,7 +3,8 @@
 Subcommands: count, table, triangle, verify, enumerate, bijection.
 
 Exit status contract: 0 on success and for `--help`, 1 when `verify` finds
-mismatches, 2 on usage or domain errors (reported as one line on stderr).
+mismatches, 2 on usage or domain errors and when memory runs out (reported
+as one line on stderr).
 All output is newline-terminated, decimal and locale-free, with every digit
 of every count printed, however many there are.
 
@@ -256,6 +257,9 @@ def run(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError:  # every handler builds its output before it writes
+        print("error: out of memory", file=sys.stderr)
         return 2
     except SystemExit:  # only --help exits; every parse error raises ValueError
         return 0

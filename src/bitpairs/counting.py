@@ -24,15 +24,16 @@ closed form; and those two and the runs count take every binomial from
 * :func:`z_closed_m0` -- closed form for that column;
 * :func:`z_auto` -- the runs count, two binomials: the fast path.
 
-The oracles, ``enumerate_Z`` and ``verify_all``'s end-bit parity check
-share one scan of the 2**(n-1) strings that start with 0 (:func:`_profiles`).
-It reads each string's pair counts off the bits of its index with
+The oracles and ``verify_all``'s end-bit parity check share one histogram
+of the 2**(n-1) strings that start with 0 (:func:`_profile_histogram`).  It
+reads each string's pair counts off the bits of its index with
 ``int.bit_count``, and the last bit fixes the ring the string closes into
-(:func:`_ring_keys`).  This scan visits no string that starts with 1: each
-is the complement of one that starts with 0, with k and m swapped.  A ring
-listing prints strings of either leading bit, so ``enumerate_circular``
-scans all 2**n strings once instead, pairing each bit with its neighbour in
-a one-place rotation.  :func:`linear_pair_counts` and
+(see :func:`s_circular_oracle`).  This scan visits no string that starts
+with 1: each is the complement of one that starts with 0, with k and m
+swapped.  The listings in ``enumeration`` print strings, not counts, so
+they read the same bits in a scan of their own: ``enumerate_Z`` over the
+strings that start with 0, and ``enumerate_circular`` over all 2**n with
+the wrap slot added.  :func:`linear_pair_counts` and
 :func:`circular_pair_counts` remain the string-level definitions the scans
 and the rings are tested against.
 
@@ -355,33 +356,18 @@ def _check_oracle_n(n: int, circular: bool) -> None:
         raise ValueError(f"oracle limit exceeded: n={n} > {DEFAULT_ORACLE_LIMIT}")
 
 
-def _profiles(n: int) -> Iterator[tuple[int, int, int]]:
-    """(v, k, m) for every string that starts with 0, v read as format(v, f"0{n}b").
-
-    Those are the v < 2**(n-1).  Bit i of v holds string position n-1-i, so
-    v & 1 is the last bit; bit i of v & v >> 1 is set exactly when positions
-    n-2-i and n-1-i are both 1, and a clear bit of v | v >> 1 among the n-1
-    adjacent slots marks a 0-pair.
-    """
-    slots = (1 << (n - 1)) - 1
-    for v in range(slots + 1):
-        yield v, (slots ^ (v | v >> 1)).bit_count(), (v & v >> 1).bit_count()
-
-
 @lru_cache(maxsize=None)
 def _profile_histogram(n: int) -> dict[tuple[int, int, int], int]:
-    # One pass per n over the strings that start with 0, keyed (k, m, last bit).
-    return dict(Counter((k, m, v & 1) for v, k, m in _profiles(n)))
+    """How many strings that start with 0 have each (k, m, last bit): one pass per n.
 
-
-def _ring_keys(k: int, m: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Histogram keys of the strings that start with 0 and close into (k, m) rings.
-
-    Keys are (k, m, last bit) of the linear profile.  The wrap slot pairs the
-    last bit with the leading 0, so it adds a 0-pair exactly when the last
-    bit is 0.
+    Those are the v < 2**(n-1), v read as format(v, f"0{n}b").  Bit i of v
+    holds string position n-1-i, so v & 1 is the last bit; bit i of
+    v & v >> 1 is set exactly when positions n-2-i and n-1-i are both 1, and
+    a clear bit of v | v >> 1 among the n-1 adjacent slots marks a 0-pair.
     """
-    return (k - 1, m, 0), (k, m, 1)
+    slots = (1 << (n - 1)) - 1
+    return dict(Counter(((slots ^ (v | v >> 1)).bit_count(), (v & v >> 1).bit_count(), v & 1)
+                        for v in range(slots + 1)))
 
 
 def z_oracle(n: int, k: int, m: int) -> int:
@@ -389,10 +375,11 @@ def z_oracle(n: int, k: int, m: int) -> int:
 
     Ground truth for the formula-based routes.  One pass reads each string's
     pair counts and last bit off the bits of its index (see
-    :func:`_profiles`, which the tests pin to :func:`linear_pair_counts`) and
-    histograms all of that n, so repeated queries at the same n cost nothing
-    extra; z sums the two last-bit cells of (k, m).  Exponential in n:
-    refused above the oracle limit, ``DEFAULT_ORACLE_LIMIT`` = 20.
+    :func:`_profile_histogram`, which the tests pin to
+    :func:`linear_pair_counts`) and histograms all of that n, so repeated
+    queries at the same n cost nothing extra; z sums the two last-bit cells
+    of (k, m).  Exponential in n: refused above the oracle limit,
+    ``DEFAULT_ORACLE_LIMIT`` = 20.
     """
     _check_oracle_n(n, False)
     return sum(_profile_histogram(n).get((k, m, last), 0) for last in (0, 1))
@@ -401,14 +388,17 @@ def z_oracle(n: int, k: int, m: int) -> int:
 def s_circular_oracle(n: int, k: int, m: int) -> int:
     """Circular-adjacency count of all 2**n strings, by scanning half of them.
 
-    A string that starts with 0 closes into a (k, m) ring when its histogram
-    cell is one of the :func:`_ring_keys` of (k, m).  A ring that starts with
-    1 is the complement of one that starts with 0 and closes into (m, k), so
-    the count adds the cells of both key pairs.  Same histogram, and so the
-    same scan and limit, as :func:`z_oracle`.
+    The wrap slot pairs a string's last bit with its first.  A string that
+    starts with 0 gains a 0-pair there exactly when its last bit is 0, so it
+    closes into a (k, m) ring when its linear (k, m, last bit) cell is
+    (k - 1, m, 0) or (k, m, 1).  A ring that starts with 1 is the complement
+    of one that starts with 0 and closes into (m, k), whose cells are
+    (m - 1, k, 0) and (m, k, 1).  Same histogram, and so the same scan and
+    limit, as :func:`z_oracle`.
     """
     _check_oracle_n(n, True)
-    return sum(_profile_histogram(n).get(key, 0) for key in _ring_keys(k, m) + _ring_keys(m, k))
+    cells = _profile_histogram(n)
+    return sum(cells.get(key, 0) for key in ((k - 1, m, 0), (k, m, 1), (m - 1, k, 0), (m, k, 1)))
 
 
 # ---------------------------------------------------------------------------

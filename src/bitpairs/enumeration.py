@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .counting import _check_length, _check_oracle_n, _profiles, _require_bits
+from .counting import _check_length, _check_oracle_n, _require_bits
 
 _INVERT = str.maketrans("01", "10")
 
@@ -21,6 +21,23 @@ def invert_bits(b: str) -> str:
     return b.translate(_INVERT)
 
 
+def _listing(n: int, k: int, m: int, circular: bool) -> list[str]:
+    # String v, read as format(v, f"0{n}b"), over w, which holds under each
+    # bit of v the bit before it: v shifted one place, and on a ring the first
+    # bit wrapped round under the last.  A line has the n - 1 slots below bit
+    # n - 1, so v < 2**(n-1) lists the strings that start with 0; a ring adds
+    # the wrap slot, and v runs over all 2**n strings.  A slot is a 1-pair
+    # where v & w has a set bit and a 0-pair where v | w has a clear one.
+    _check_oracle_n(n, circular)
+    width, slots, wrap = f"0{n}b", (1 << n - 1 + circular) - 1, circular << n - 1
+    return [
+        format(v, width)
+        for v in range(slots + 1)
+        if ((w := v >> 1 | (v & 1) * wrap) & v).bit_count() == m
+        and (slots ^ (v | w)).bit_count() == k
+    ]
+
+
 def enumerate_Z(n: int, k: int, m: int) -> list[str]:
     """All length-n strings starting with 0 with linear profile (k, m).
 
@@ -28,30 +45,19 @@ def enumerate_Z(n: int, k: int, m: int) -> list[str]:
     start with 0, so n is refused above the oracle limit,
     ``DEFAULT_ORACLE_LIMIT`` = 20.
     """
-    _check_oracle_n(n, False)
-    width = f"0{n}b"
-    return [format(v, width) for v, a, b in _profiles(n) if (a, b) == (k, m)]
+    return _listing(n, k, m, False)
 
 
 def enumerate_circular(n: int, k: int, m: int) -> list[str]:
     """All length-n strings (either leading bit) with circular profile (k, m).
 
-    Lexicographic order: one ascending scan of all 2**n strings, so n is
-    refused above the oracle limit, as in :func:`enumerate_Z`.  String v,
-    read as format(v, f"0{n}b"), rotated one place is w, which holds under
-    each bit of v the bit before it on the ring (under the first bit, the
-    last).  So each of the n slots is a 1-pair where v & w has a set bit and
-    a 0-pair where v | w has a clear one; for n = 2 both orderings count, as
-    in :func:`~bitpairs.counting.circular_pair_counts`.
+    Lexicographic order: the scan of :func:`enumerate_Z` over all 2**n
+    strings, with the wrap slot that joins the last bit to the first added
+    to the n - 1 linear ones, so n is refused above the oracle limit too.
+    For n = 2 both orderings of the two bits count, as in
+    :func:`~bitpairs.counting.circular_pair_counts`.
     """
-    _check_oracle_n(n, True)
-    width, ones = f"0{n}b", (1 << n) - 1
-    return [
-        format(v, width)
-        for v in range(1 << n)
-        if ((w := v >> 1 | (v & 1) << n - 1) & v).bit_count() == m
-        and (ones ^ (v | w)).bit_count() == k
-    ]
+    return _listing(n, k, m, True)
 
 
 # ---------------------------------------------------------------------------

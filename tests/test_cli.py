@@ -326,6 +326,15 @@ class TestUsageErrors:
         assert code == 2
         assert "oracle limit exceeded" in err
 
+    def test_out_of_memory(self, capsys, monkeypatch):
+        # a MemoryError ends the command like any refusal: one stderr line,
+        # status 2, and no partial output
+        def exhausted(n, mode="linear"):
+            raise MemoryError
+
+        monkeypatch.setattr(bitpairs.tables, "z_table", exhausted)
+        assert invoke(capsys, "table", "--n", "5") == (2, "", "error: out of memory\n")
+
     def test_help_exits_zero(self, capsys):
         for command in ("", "count", "table", "triangle", "verify", "enumerate", "bijection"):
             code, out, err = invoke(capsys, *command.split(), "--help")

@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -34,8 +35,7 @@ from bitpairs.counting import (
     _cells,
     _prime_power_binomial,
     _primes_to,
-    _profiles,
-    _ring_keys,
+    _profile_histogram,
     _transfer,
     _z_layer,
     decimal_digits,
@@ -197,14 +197,6 @@ class TestPrimePowerKernel:
         assert comb_calls == [(10**10, 2**17)]
 
 
-def assert_scan_matches_strings():
-    # the bitwise scan behind the oracles, enumerate_Z and verify_all
-    # reads (index, k, m) of every string that starts with 0, in order
-    for n in range(1, 13):
-        strings = [b for b in (format(v, f"0{n}b") for v in range(1 << n)) if b[0] == "0"]
-        assert list(_profiles(n)) == [(int(b, 2), *linear_pair_counts(b)[1:]) for b in strings]
-
-
 class TestDecimalDigits:
     """decimal_digits(v) == str(v) on both paths: str() below the limit, and
     the conversion in the decimal module, whose leaves hold at most 14000 bits,
@@ -257,9 +249,16 @@ class TestPairCounts:
         assert linear_pair_counts("00") == (2, 1, 0)
         assert linear_pair_counts("0111") == (4, 0, 2)
         assert linear_pair_counts("0") == (1, 0, 0)
-        assert list(_profiles(1)) == [(0, 0, 0)]
-        assert list(_profiles(2)) == [(0, 1, 0), (1, 0, 0)]
-        assert_scan_matches_strings()
+        assert _profile_histogram(1) == {(0, 0, 0): 1}
+        assert _profile_histogram(2) == {(1, 0, 0): 1, (0, 0, 1): 1}
+
+    def test_histogram_matches_strings(self):
+        # the bitwise scan behind the oracles and verify_all's parity check
+        # counts every string that starts with 0 by (k, m, last bit)
+        for n in range(1, 13):
+            strings = [b for b in (format(v, f"0{n}b") for v in range(1 << n)) if b[0] == "0"]
+            want = Counter((*linear_pair_counts(b)[1:], int(b[-1])) for b in strings)
+            assert _profile_histogram(n) == want, n
 
     def test_returns_profile(self):
         p = linear_pair_counts("0011")
@@ -811,9 +810,9 @@ def transfer_mismatches(max_n):
     """(n, k, m, route, got, want) wherever a route disagrees with the split
     pass on a cell 0 <= k, m <= n, n = 1..max_n: first-one, z_auto and
     z_reduce_to_m0 against its z readout, and from n = 2 s_circular against
-    its ring readout, the end-bit cells at the _ring_keys of (k, m) and of
-    (m, k).  Routes are looked up on the module, so a monkeypatched one is
-    the one checked."""
+    its ring readout, the end-bit cells of the rings that close into (k, m).
+    Routes are looked up on the module, so a monkeypatched one is the one
+    checked."""
     routes = bitpairs.counting
     found = []
     passes = zip(_transfer(max_n, max_n, max_n, False), _transfer(max_n, max_n, max_n, True))
@@ -830,7 +829,10 @@ def transfer_mismatches(max_n):
                     ("reduce", routes.z_reduce_to_m0(n, k, m), z),
                 ]
                 if n >= 2:
-                    keys = _ring_keys(k, m) + _ring_keys(m, k)
+                    # the wrap slot adds a 0-pair to a ring that starts with 0
+                    # exactly when its last bit is 0; the rings that start
+                    # with 1 are the complements, with k and m swapped
+                    keys = ((k - 1, m, 0), (k, m, 1), (m - 1, k, 0), (m, k, 1))
                     ring = sum(end_bit[last][a][b] for a, b, last in keys if a >= 0)
                     checks.append(("circular", routes.s_circular(n, k, m), ring))
                 found += [(n, k, m, route, got, want) for route, got, want in checks if got != want]

@@ -62,6 +62,22 @@ class TestEnumerate:
                         assert b[0] == "0"
                         assert linear_pair_counts(b) == (n, k, m)
 
+    def test_linear_matches_strings(self):
+        # string-level ground truth for the listing's shifted scan and the
+        # oracle's histogram: every length-n string that starts with 0 by its
+        # linear profile
+        for n in range(1, 11):
+            lines = {}
+            for v in range(1 << n):
+                b = format(v, f"0{n}b")
+                if b[0] == "0":
+                    lines.setdefault(linear_pair_counts(b), []).append(b)
+            for k in range(-1, n + 2):
+                for m in range(-1, n + 2):
+                    want = sorted(lines.get((n, k, m), []))
+                    assert z_oracle(n, k, m) == len(want), (n, k, m)
+                    assert enumerate_Z(n, k, m) == want, (n, k, m)
+
     def test_circular_sizes(self):
         for n in range(2, 9):
             for k in range(n + 1):
