@@ -8,19 +8,32 @@ as one line on stderr).
 All output is newline-terminated, decimal and locale-free, with every digit
 of every count printed, however many there are.
 
-`run` parses only the subcommand it runs.  When the first argument names
-one, that subcommand's own parser reads the rest.  It is built on first use
+Each subcommand's options are one table in `_COMMANDS`: flag, dest, kind,
+default and help.  Both the argparse parsers and `run`'s plain-form reader
+are built from it.  `run` parses only the subcommand it runs.  When the
+first argument names one and the rest is in the plain form, `run` reads it
+without argparse and builds the namespace argparse would return, defaults
+and `func` included.  The plain form: each token an exact long option of
+the subcommand, given once; each value a token of its own that does not
+start with `-` and passes the same `_nonneg` or choices check argparse
+runs; every required option given, and for `bijection` exactly one of
+`--string` and `--sequence`.  Anything else goes unchanged to argparse:
+help, abbreviations, `--n=5`, repeats, `--`, and every value argparse
+refuses.  So each help text, error line and exit code is argparse's own.
+
+A subcommand's parser is built on the first call that argparse must read
 and cached, one per subcommand; argparse keeps no parse state on it, so no
 call sees another's arguments.  It is built from the same table entry, with
 the same prog, as the subparser that `build_parser` hangs under `bitpairs`,
 so its help, messages and exit codes are the nested route's.  The full
 parser is built only for the calls that name no subcommand: no argument,
 `--help`, an unknown command or a leading option.  Importing this module
-builds nothing.  Only `counting` is imported with this module.  The
-parsers of `table`, `triangle` and `verify` import `tables`, which holds
-their `--format` and `--mode` choices, so the full parser loads it too;
-`enumerate` and `bijection` import `enumeration` when they run.  A `count`
-process loads neither.
+builds nothing, and of the package it imports only `counting`.  argparse is
+imported only when a parser is built, so a plain-form call never loads it.
+The choices of `table`, `triangle` and `verify` are `tables` constants,
+loaded by those commands and by the full parser; `enumerate` and
+`bijection` import `enumeration` when they run.  A `count` process loads
+neither.
 
 `run` changes no interpreter-wide setting, so calls may overlap across
 threads as far as the package goes (each writes to the process's one
@@ -38,10 +51,10 @@ failed write like any OSError, one line on stderr and status 2.
 
 from __future__ import annotations
 
-import argparse
 import sys
 from functools import cache
-from typing import Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Optional
 
 from .counting import (
     _check_length,
@@ -56,6 +69,9 @@ from .counting import (
     z_reduce_to_m0,
 )
 
+if TYPE_CHECKING:
+    import argparse
+
 METHODS = ("auto", "oracle", "split", "first-one", "reduce", "closed")
 
 # the z routes behind --method; s_circular counts the ring from any of them
@@ -63,19 +79,29 @@ _ROUTES = {"auto": z_auto, "split": z_recur_split, "first-one": z_recur_firstone
            "reduce": z_reduce_to_m0}
 
 
-class _Parser(argparse.ArgumentParser):
-    # one-line diagnostics on stderr instead of argparse's usage dump
-    def error(self, message: str) -> None:
-        raise ValueError(message)
+@cache
+def _parser_class() -> type[argparse.ArgumentParser]:
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        # one-line diagnostics on stderr instead of argparse's usage dump
+        def error(self, message: str) -> None:
+            raise ValueError(message)
+
+    return Parser
 
 
 def _nonneg(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative: {text}")
+        value = None
+    if value is None or value < 0:
+        from argparse import ArgumentTypeError  # argparse reports every value refused here
+
+        raise ArgumentTypeError(
+            f"not an integer: {text!r}" if value is None else f"must be nonnegative: {text}"
+        )
     return value
 
 
@@ -164,70 +190,119 @@ def _cmd_bijection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _profile_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_nonneg, required=True, help="string length")
-    p.add_argument("--k", type=_nonneg, required=True, help="number of 0-pairs")
-    p.add_argument("--m", type=_nonneg, required=True, help="number of 1-pairs")
-    p.add_argument("--circular", action="store_true", help="wraparound adjacency")
+# markers in an option's default column
+_REQUIRED = object()  # every call gives the option
+_ONE_OF = object()  # every call gives exactly one option so marked; the rest are None
 
+# an option's kind: _nonneg, str, bool (a switch), a tuple of choices, or the
+# name of the `tables` constant that holds its choices
+_PROFILE = {  # flag: (dest, kind, default, help)
+    "--n": ("n", _nonneg, _REQUIRED, "string length"),
+    "--k": ("k", _nonneg, _REQUIRED, "number of 0-pairs"),
+    "--m": ("m", _nonneg, _REQUIRED, "number of 1-pairs"),
+    "--circular": ("circular", bool, False, "wraparound adjacency"),
+}
+_OUT = ("out", str, None, "write to a file instead of stdout")
 
-def _count_arguments(p: argparse.ArgumentParser) -> None:
-    _profile_arguments(p)
-    p.add_argument("--method", choices=METHODS, default="auto")
-
-
-def _table_arguments(p: argparse.ArgumentParser) -> None:
-    from .tables import Z_TABLE_FORMATS
-
-    p.add_argument("--n", type=_nonneg, required=True)
-    p.add_argument("--circular", action="store_true")
-    p.add_argument("--format", choices=Z_TABLE_FORMATS, default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-
-
-def _triangle_arguments(p: argparse.ArgumentParser) -> None:
-    from .tables import TRIANGLE_FORMATS
-
-    p.add_argument("--rows", type=_nonneg, required=True)
-    p.add_argument("--format", choices=TRIANGLE_FORMATS, default="csv")
-    p.add_argument("--out", default=None, help="write to a file instead of stdout")
-
-
-def _verify_arguments(p: argparse.ArgumentParser) -> None:
-    from .tables import VERIFY_MODES
-
-    p.add_argument("--max-n", type=_nonneg, required=True, dest="max_n")
-    p.add_argument("--mode", choices=VERIFY_MODES, default="both")
-
-
-def _bijection_arguments(p: argparse.ArgumentParser) -> None:
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--string", default=None, help="string to map to positions")
-    group.add_argument("--sequence", default=None, help="comma-separated positions to map back")
-    p.add_argument("--n", type=_nonneg, default=None, help="target length (with --sequence)")
-
-
-# subcommand -> (help line, add-arguments function, handler), in help order
+# subcommand -> (help line, option table, handler), in help order
 _COMMANDS = {
-    "count": ("print one exact count", _count_arguments, _cmd_count),
-    "table": ("all counts for one length as a table", _table_arguments, _cmd_table),
-    "triangle": ("rows of the A046854 triangle", _triangle_arguments, _cmd_triangle),
-    "verify": ("cross-check all methods against the oracles", _verify_arguments, _cmd_verify),
-    "enumerate": ("list the counted strings, one per line", _profile_arguments, _cmd_enumerate),
-    "bijection": ("map a 1-pair-free string to its 0-pair positions, or back",
-                  _bijection_arguments, _cmd_bijection),
+    "count": ("print one exact count",
+              {**_PROFILE, "--method": ("method", METHODS, "auto", None)}, _cmd_count),
+    "table": ("all counts for one length as a table", {
+        "--n": ("n", _nonneg, _REQUIRED, None),
+        "--circular": ("circular", bool, False, None),
+        "--format": ("format", "Z_TABLE_FORMATS", "csv", None),
+        "--out": _OUT,
+    }, _cmd_table),
+    "triangle": ("rows of the A046854 triangle", {
+        "--rows": ("rows", _nonneg, _REQUIRED, None),
+        "--format": ("format", "TRIANGLE_FORMATS", "csv", None),
+        "--out": _OUT,
+    }, _cmd_triangle),
+    "verify": ("cross-check all methods against the oracles", {
+        "--max-n": ("max_n", _nonneg, _REQUIRED, None),
+        "--mode": ("mode", "VERIFY_MODES", "both", None),
+    }, _cmd_verify),
+    "enumerate": ("list the counted strings, one per line", _PROFILE, _cmd_enumerate),
+    "bijection": ("map a 1-pair-free string to its 0-pair positions, or back", {
+        "--string": ("string", str, _ONE_OF, "string to map to positions"),
+        "--sequence": ("sequence", str, _ONE_OF, "comma-separated positions to map back"),
+        "--n": ("n", _nonneg, None, "target length (with --sequence)"),
+    }, _cmd_bijection),
 }
 
 
+def _choices(kind: object) -> Optional[tuple[str, ...]]:
+    if isinstance(kind, str):  # loaded only by the commands that run tables
+        from . import tables
+
+        return getattr(tables, kind)
+    return kind if isinstance(kind, tuple) else None
+
+
 def _add_command(p: argparse.ArgumentParser, command: str) -> None:
-    _, add_arguments, func = _COMMANDS[command]
-    add_arguments(p)
+    _, options, func = _COMMANDS[command]
+    group = None
+    for flag, (dest, kind, default, help_line) in options.items():
+        if kind is bool:
+            spec = {"action": "store_true"}
+        else:
+            choices = _choices(kind)
+            spec = {"type": kind} if choices is None else {"choices": choices}
+        target = p
+        if default is _REQUIRED:
+            spec["required"] = True
+        elif default is _ONE_OF:
+            if group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            target = group
+        else:
+            spec["default"] = default
+        target.add_argument(flag, dest=dest, help=help_line, **spec)
     p.set_defaults(func=func)
+
+
+def _read_plain(command: str, argv: list[str]) -> Optional[SimpleNamespace]:
+    """What `_parser(command)` returns for `argv` in the plain form (see the
+    module docstring), read without argparse; None for any other `argv`."""
+    _, options, func = _COMMANDS[command]
+    given = {}
+    tokens = iter(argv)
+    for flag in tokens:
+        if flag not in options or flag in given:
+            return None
+        kind = options[flag][1]
+        if kind is bool:
+            given[flag] = True
+            continue
+        token = next(tokens, "-")  # a value left out goes to argparse too
+        if token.startswith("-"):
+            return None
+        choices = _choices(kind)
+        if choices is None:
+            try:
+                given[flag] = kind(token)
+            except Exception:  # _nonneg's refusal, which argparse reports
+                return None
+        elif token in choices:
+            given[flag] = token
+        else:
+            return None
+    values, group = {}, []
+    for flag, (dest, _, default, _) in options.items():
+        if default is _ONE_OF:
+            group.append(flag in given)
+        elif default is _REQUIRED and flag not in given:
+            return None
+        values[dest] = given.get(flag, None if default is _ONE_OF else default)
+    if group and sum(group) != 1:
+        return None
+    return SimpleNamespace(**values, func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every subcommand under `bitpairs`."""
-    parser = _Parser(
+    parser = _parser_class()(
         prog="bitpairs",
         description="Count and enumerate binary strings by their adjacent "
         "0-pair and 1-pair statistics, linear or circular.",
@@ -241,19 +316,20 @@ def build_parser() -> argparse.ArgumentParser:
 @cache
 def _parser(command: str) -> argparse.ArgumentParser:
     # what build_parser's subparser for `command` is, standing alone
-    parser = _Parser(prog=f"bitpairs {command}")
+    parser = _parser_class()(prog=f"bitpairs {command}")
     _add_command(parser, command)
     return parser
 
 
 def run(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:
-        parser, argv = _parser(argv[0]), argv[1:]
-    else:  # no argument, help, an option or an unknown command
-        parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _read_plain(argv[0], argv[1:])
+            if args is None:
+                args = _parser(argv[0]).parse_args(argv[1:])
+        else:  # no argument, help, an option or an unknown command
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

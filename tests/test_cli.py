@@ -12,6 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bitpairs.cli
 import bitpairs.counting
@@ -344,9 +345,10 @@ class TestUsageErrors:
 
 
 class TestParserReuse:
-    """Each subcommand's parser is built once per process and serves every call
-    of it; no call sees another's arguments.  The full parser is built only for
-    calls that name no subcommand."""
+    """Each subcommand's parser is built once per process, on the first call
+    that argparse must read, and serves every such call of it; no call sees
+    another's arguments.  A plain-form call builds no parser.  The full parser
+    is built only for calls that name no subcommand."""
 
     SEQUENCE = [
         ("count", "--n", "8", "--k", "2", "--m", "2", "--circular"),
@@ -390,7 +392,8 @@ class TestParserReuse:
             if set_digits is not None:
                 set_digits(before)
             bitpairs.cli._parser.cache_clear()
-        # one parser each for count and bijection; the full one for --help and frobnicate
+        # one parser each for count and bijection, built by the calls argparse
+        # reads (the second and the fourth); the full one for --help and frobnicate
         assert (info.misses, info.currsize) == (2, 2)
         assert len(builds) == 2
 
@@ -399,19 +402,22 @@ class TestParserReuse:
         assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "0\n", "")
 
     def test_count_process_builds_one_parser(self, tmp_path):
-        # a fresh interpreter's one count: one parser, cached under "count"
-        # (asking for it again is a hit), and no full parser
+        # a fresh interpreter: a plain-form count builds no parser; one that
+        # argparse must read (`--n=8`) builds the count parser alone, cached
+        # under "count" (asking for it again is a hit); neither builds the full one
         probe = """\
 import bitpairs.cli as c
 build, builds = c.build_parser, []
 c.build_parser = lambda: builds.append(1) or build()
 c.run(["count", "--n", "8", "--k", "2", "--m", "2"])
-after_run = c._parser.cache_info()
+plain = c._parser.cache_info()
+c.run(["count", "--n=8", "--k", "2", "--m", "2"])
+read = c._parser.cache_info()
 c._parser("count")
 again = c._parser.cache_info()
-print(after_run.misses, after_run.currsize, again.hits, again.currsize, len(builds))
+print(plain.currsize, read.misses, read.currsize, again.hits, again.currsize, len(builds))
 """
-        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "9\n1 1 1 1 0\n", "")
+        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "9\n9\n0 1 1 1 1 0\n", "")
 
 
 def nested(capsys, *argv):
@@ -446,6 +452,19 @@ NESTED_CORPUS = [
     "count --n 0 --k 0 --m 0", "table --n 4 --circular", "triangle --rows 4",
     "enumerate --n 6 --k 2 --m 1", "bijection", "bijection --string 0010 --sequence 1,3",
     "bijection --str 0010", "bijection --s 0010", "bijection --sequence 1,3 --n 7",
+    # the benchmark's shapes and other plain forms, which `run` reads without argparse
+    "count --n 1500 --k 375 --m 225", "count --n 1400 --k 350 --m 210 --circular",
+    "count --n 12 --k 3 --m 2 --circular --method split",
+    "count --n 150 --k 38 --m 22 --method first-one", "count --n 14 --k 3 --m 4 --method oracle",
+    "count --n 9 --k 4 --m 0 --method closed", "count --n +8 --k 2 --m 02",
+    "table --n 6 --format tsv --circular", "triangle --rows 5 --format bfile",
+    "verify --max-n 5 --mode both", "enumerate --n 8 --k 2 --m 2 --circular",
+    "bijection --string 0101001", "bijection --sequence 1,6 --n 7",
+    # where the plain form hands over to argparse
+    "count --n 8 --k 2 --m 2 --m x", "count --n 8 --k 2 --m 2 --method", "table --n 4 --format",
+    "verify --max-n 4 --mode", "bijection --string 0010 --string 0101 --sequence 1",
+    "bijection --sequence 1,2 --n 7 --n 8", "count --circular x --n 8 --k 2 --m 2",
+    "bijection --string -h", "bijection --n 5 --sequence --string",
 ]
 
 
@@ -453,6 +472,43 @@ NESTED_CORPUS = [
 def test_run_matches_nested_parser(capsys, argv):
     want = mask_elapsed(nested(capsys, *argv.split()))
     assert mask_elapsed(invoke(capsys, *argv.split())) == want
+
+
+# each subcommand's options, each with values its check accepts ([] for a switch)
+COUNTS = ["0", "2", "8", "1500", "+3", "007", " 4", "1_0"]
+TEXTS = ["0010", "1,3", "", "a b", "x=y"]
+VOCABULARY = {
+    "count": {"--n": COUNTS, "--k": COUNTS, "--m": COUNTS, "--circular": [], "--method": METHODS},
+    "table": {"--n": COUNTS, "--circular": [], "--format": ["csv", "tsv", "json"], "--out": TEXTS},
+    "triangle": {"--rows": COUNTS, "--format": ["csv", "bfile"], "--out": TEXTS},
+    "verify": {"--max-n": COUNTS, "--mode": ["linear", "circular", "both"]},
+    "enumerate": {"--n": COUNTS, "--k": COUNTS, "--m": COUNTS, "--circular": []},
+    "bijection": {"--string": TEXTS, "--sequence": TEXTS, "--n": COUNTS},
+}
+# tokens off the plain form: abbreviations, `--x=v`, help, `--`, and values
+# that a check refuses or that start with `-`
+HOSTILE = ["--n=5", "--ci", "--he", "--max", "--s", "-n", "-h", "--help", "--", "--frobnicate",
+           "-1", "", "x", "2.5", "Auto", "bogus", "xml", "spiral", "-0010", "count"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_plain_form_reads_as_argparse(data):
+    # a well-formed argv with some options left out, then up to two tokens
+    # put in or swapped: hostile ones, repeats and extra positionals; whatever
+    # `run` reads without argparse, the subcommand's parser reads the same way
+    command = data.draw(st.sampled_from(sorted(VOCABULARY)))
+    options = VOCABULARY[command]
+    pairs = [[flag, *([data.draw(st.sampled_from(values))] if values else [])]
+             for flag, values in options.items() if data.draw(st.integers(0, 5))]
+    argv = [token for pair in data.draw(st.permutations(pairs)) for token in pair]
+    tokens = sorted({*options, *HOSTILE, *(v for values in options.values() for v in values)})
+    for _ in range(data.draw(st.integers(0, 2))):
+        at = data.draw(st.integers(0, len(argv)))
+        argv[at:at + data.draw(st.integers(0, 1))] = [data.draw(st.sampled_from(tokens))]
+    plain = bitpairs.cli._read_plain(command, argv)
+    if plain is not None:
+        assert vars(plain) == vars(bitpairs.cli._parser(command).parse_args(argv)), argv
 
 
 class TestOracleLimitPlumbing:
@@ -672,10 +728,10 @@ code = bitpairs.cli.run(sys.argv[1:])
 print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
 """
 
-    def added(self, tmp_path, *argv):
+    def added(self, tmp_path, *argv, status="0"):
         code, _, err = spawn([sys.executable, "-c", self.PROBE, *argv], tmp_path)
-        status, *modules = err.split()
-        assert (code, status) == (0, "0"), err
+        got, *modules = err.splitlines()[-1].split()
+        assert (code, got) == (0, status), err
         return set(modules)
 
     def test_count(self, tmp_path):
@@ -690,6 +746,18 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
         added = self.added(tmp_path, *argv.split())
         assert "bitpairs.tables" in added
         assert not added & {"json", "csv"}
+
+    @pytest.mark.parametrize("argv", [
+        "count --n 8 --k 2 --m 2 --circular --method split", "table --n 4 --format json --circular",
+        "triangle --rows 4 --format bfile", "verify --max-n 4 --mode linear",
+        "enumerate --n 6 --k 2 --m 1", "bijection --string 0010", "bijection --sequence 1,6 --n 7",
+    ])
+    def test_plain_form_loads_no_argparse(self, tmp_path, argv):
+        assert "argparse" not in self.added(tmp_path, *argv.split())
+
+    def test_parse_error_loads_argparse(self, tmp_path):
+        added = self.added(tmp_path, "count", "--n", "x", "--k", "2", "--m", "2", status="2")
+        assert "argparse" in added
 
     def test_decimal_only_past_the_digit_limit(self, tmp_path):
         # a small count prints with str(); the 4583-digit one needs _decimal
