@@ -9,31 +9,24 @@ All output is newline-terminated, decimal and locale-free, with every digit
 of every count printed, however many there are.
 
 Each subcommand's options are one table in `_COMMANDS`: flag, dest, kind,
-default and help.  Both the argparse parsers and `run`'s plain-form reader
-are built from it.  `run` parses only the subcommand it runs.  When the
-first argument names one and the rest is in the plain form, `run` reads it
-without argparse and builds the namespace argparse would return, defaults
-and `func` included.  The plain form: each token an exact long option of
-the subcommand, given once; each value a token of its own that does not
-start with `-` and passes the same `_nonneg` or choices check argparse
-runs; every required option given, and for `bijection` exactly one of
-`--string` and `--sequence`.  Anything else goes unchanged to argparse:
-help, abbreviations, `--n=5`, repeats, `--`, and every value argparse
-refuses.  So each help text, error line and exit code is argparse's own.
+default and help.  Both the argparse parser and `run`'s plain-form reader
+are built from it.  When the first argument names a subcommand and the rest
+is in the plain form, `run` reads it without argparse and builds the
+namespace argparse would return, defaults and `func` included.  The plain
+form: each token an exact long option of the subcommand, given once; each
+value a token of its own that does not start with `-` and passes the same
+`_nonneg` or choices check argparse runs; every required option given, and
+for `bijection` exactly one of `--string` and `--sequence`.  Every argv the
+plain form refuses is read by the full parser, built per call: help,
+abbreviations, `--n=5`, repeats, `--`, and every value argparse refuses.
+So each help text, error line and exit code is argparse's own.
 
-A subcommand's parser is built on the first call that argparse must read
-and cached, one per subcommand; argparse keeps no parse state on it, so no
-call sees another's arguments.  It is built from the same table entry, with
-the same prog, as the subparser that `build_parser` hangs under `bitpairs`,
-so its help, messages and exit codes are the nested route's.  The full
-parser is built only for the calls that name no subcommand: no argument,
-`--help`, an unknown command or a leading option.  Importing this module
-builds nothing, and of the package it imports only `counting`.  argparse is
-imported only when a parser is built, so a plain-form call never loads it.
-The choices of `table`, `triangle` and `verify` are `tables` constants,
-loaded by those commands and by the full parser; `enumerate` and
-`bijection` import `enumeration` when they run.  A `count` process loads
-neither.
+Importing this module builds nothing, and of the package it imports only
+`counting`.  argparse is imported only when the parser is built, so a
+plain-form call never loads it.  The choices of `table`, `triangle` and
+`verify` are `tables` constants, loaded by those commands and by the
+parser; `enumerate` and `bijection` import `enumeration` when they run.  A
+plain-form `count` process loads neither.
 
 `run` changes no interpreter-wide setting, so calls may overlap across
 threads as far as the package goes (each writes to the process's one
@@ -52,7 +45,6 @@ failed write like any OSError, one line on stderr and status 2.
 from __future__ import annotations
 
 import sys
-from functools import cache
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Optional
 
@@ -77,18 +69,6 @@ METHODS = ("auto", "oracle", "split", "first-one", "reduce", "closed")
 # the z routes behind --method; s_circular counts the ring from any of them
 _ROUTES = {"auto": z_auto, "split": z_recur_split, "first-one": z_recur_firstone,
            "reduce": z_reduce_to_m0}
-
-
-@cache
-def _parser_class() -> type[argparse.ArgumentParser]:
-    import argparse
-
-    class Parser(argparse.ArgumentParser):
-        # one-line diagnostics on stderr instead of argparse's usage dump
-        def error(self, message: str) -> None:
-            raise ValueError(message)
-
-    return Parser
 
 
 def _nonneg(text: str) -> int:
@@ -262,12 +242,15 @@ def _add_command(p: argparse.ArgumentParser, command: str) -> None:
     p.set_defaults(func=func)
 
 
-def _read_plain(command: str, argv: list[str]) -> Optional[SimpleNamespace]:
-    """What `_parser(command)` returns for `argv` in the plain form (see the
-    module docstring), read without argparse; None for any other `argv`."""
-    _, options, func = _COMMANDS[command]
+def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+    """What `build_parser()` returns for `argv` in the plain form (see the
+    module docstring), less its `command`, read without argparse; None for
+    any other `argv`."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, options, func = _COMMANDS[argv[0]]
     given = {}
-    tokens = iter(argv)
+    tokens = iter(argv[1:])
     for flag in tokens:
         if flag not in options or flag in given:
             return None
@@ -302,7 +285,14 @@ def _read_plain(command: str, argv: list[str]) -> Optional[SimpleNamespace]:
 
 def build_parser() -> argparse.ArgumentParser:
     """The full parser: every subcommand under `bitpairs`."""
-    parser = _parser_class()(
+    import argparse
+
+    class Parser(argparse.ArgumentParser):  # the subparsers inherit it
+        # one-line diagnostics on stderr instead of argparse's usage dump
+        def error(self, message: str) -> None:
+            raise ValueError(message)
+
+    parser = Parser(
         prog="bitpairs",
         description="Count and enumerate binary strings by their adjacent "
         "0-pair and 1-pair statistics, linear or circular.",
@@ -313,23 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser(command: str) -> argparse.ArgumentParser:
-    # what build_parser's subparser for `command` is, standing alone
-    parser = _parser_class()(prog=f"bitpairs {command}")
-    _add_command(parser, command)
-    return parser
-
-
 def run(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        if argv and argv[0] in _COMMANDS:
-            args = _read_plain(argv[0], argv[1:])
-            if args is None:
-                args = _parser(argv[0]).parse_args(argv[1:])
-        else:  # no argument, help, an option or an unknown command
-            args = build_parser().parse_args(argv)
+        args = _read_plain(argv) or build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

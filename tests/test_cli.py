@@ -345,10 +345,9 @@ class TestUsageErrors:
 
 
 class TestParserReuse:
-    """Each subcommand's parser is built once per process, on the first call
-    that argparse must read, and serves every such call of it; no call sees
-    another's arguments.  A plain-form call builds no parser.  The full parser
-    is built only for calls that name no subcommand."""
+    """`run` keeps no parser between calls: each call that the plain form
+    refuses builds the full parser once, and a plain-form call builds none,
+    so no call sees another's arguments."""
 
     SEQUENCE = [
         ("count", "--n", "8", "--k", "2", "--m", "2", "--circular"),
@@ -363,10 +362,7 @@ class TestParserReuse:
     ]
 
     def test_sequence_matches_fresh_parsers(self, capsys, monkeypatch):
-        alone = []
-        for argv in self.SEQUENCE:
-            bitpairs.cli._parser.cache_clear()
-            alone.append(invoke(capsys, *argv))
+        alone = [invoke(capsys, *argv) for argv in self.SEQUENCE]
         assert [code for code, _, _ in alone] == [0, 2, 2, 2, 2, 0, 2, 0, 0]
 
         builds = []
@@ -376,7 +372,6 @@ class TestParserReuse:
             builds.append(1)
             return build()
 
-        bitpairs.cli._parser.cache_clear()
         monkeypatch.setattr(bitpairs.cli, "build_parser", counting_build)
         set_digits = getattr(sys, "set_int_max_str_digits", None)
         before = digit_limit()
@@ -387,37 +382,30 @@ class TestParserReuse:
                 limit = digit_limit()
                 assert invoke(capsys, *argv) == want, argv
                 assert digit_limit() == limit, argv
-            info = bitpairs.cli._parser.cache_info()
         finally:
             if set_digits is not None:
                 set_digits(before)
-            bitpairs.cli._parser.cache_clear()
-        # one parser each for count and bijection, built by the calls argparse
-        # reads (the second and the fourth); the full one for --help and frobnicate
-        assert (info.misses, info.currsize) == (2, 2)
-        assert len(builds) == 2
+        # one build for each call the plain form refuses (the second, third,
+        # fourth, sixth and seventh); none for the four plain ones
+        assert len(builds) == 5
 
     def test_import_builds_no_parser(self, tmp_path):
-        probe = "import bitpairs.cli as c; print(c._parser.cache_info().currsize)"
-        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "0\n", "")
+        probe = "import sys, bitpairs.cli; print('argparse' in sys.modules)"
+        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "False\n", "")
 
     def test_count_process_builds_one_parser(self, tmp_path):
         # a fresh interpreter: a plain-form count builds no parser; one that
-        # argparse must read (`--n=8`) builds the count parser alone, cached
-        # under "count" (asking for it again is a hit); neither builds the full one
+        # argparse must read (`--n=8`) builds the full parser once
         probe = """\
 import bitpairs.cli as c
 build, builds = c.build_parser, []
 c.build_parser = lambda: builds.append(1) or build()
 c.run(["count", "--n", "8", "--k", "2", "--m", "2"])
-plain = c._parser.cache_info()
+plain = len(builds)
 c.run(["count", "--n=8", "--k", "2", "--m", "2"])
-read = c._parser.cache_info()
-c._parser("count")
-again = c._parser.cache_info()
-print(plain.currsize, read.misses, read.currsize, again.hits, again.currsize, len(builds))
+print(plain, len(builds))
 """
-        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "9\n9\n0 1 1 1 1 0\n", "")
+        assert spawn([sys.executable, "-c", probe], tmp_path) == (0, "9\n9\n0 1\n", "")
 
 
 def nested(capsys, *argv):
@@ -491,12 +479,18 @@ HOSTILE = ["--n=5", "--ci", "--he", "--max", "--s", "-n", "-h", "--help", "--", 
            "-1", "", "x", "2.5", "Auto", "bogus", "xml", "spiral", "-0010", "count"]
 
 
+@pytest.fixture(scope="module")
+def full_parser():
+    return bitpairs.cli.build_parser()
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.data())
-def test_plain_form_reads_as_argparse(data):
+def test_plain_form_reads_as_argparse(full_parser, data):
     # a well-formed argv with some options left out, then up to two tokens
     # put in or swapped: hostile ones, repeats and extra positionals; whatever
-    # `run` reads without argparse, the subcommand's parser reads the same way
+    # `run` reads without argparse, the full parser reads the same way, but
+    # for its `command` entry (the subparsers' dest, which no handler reads)
     command = data.draw(st.sampled_from(sorted(VOCABULARY)))
     options = VOCABULARY[command]
     pairs = [[flag, *([data.draw(st.sampled_from(values))] if values else [])]
@@ -506,9 +500,11 @@ def test_plain_form_reads_as_argparse(data):
     for _ in range(data.draw(st.integers(0, 2))):
         at = data.draw(st.integers(0, len(argv)))
         argv[at:at + data.draw(st.integers(0, 1))] = [data.draw(st.sampled_from(tokens))]
-    plain = bitpairs.cli._read_plain(command, argv)
+    plain = bitpairs.cli._read_plain([command, *argv])
     if plain is not None:
-        assert vars(plain) == vars(bitpairs.cli._parser(command).parse_args(argv)), argv
+        read = vars(full_parser.parse_args([command, *argv]))
+        assert read.pop("command") == command
+        assert vars(plain) == read, argv
 
 
 class TestOracleLimitPlumbing:
