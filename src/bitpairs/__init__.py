@@ -10,15 +10,14 @@ __version__ = "0.1.0"
 # each public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys((
-        "DEFAULT_ORACLE_LIMIT", "MemoCache", "PairProfile", "binomial",
-        "circular_pair_counts", "linear_pair_counts", "s_circular", "s_circular_oracle",
-        "sd_encode", "terquem_T", "wrap_parity_predicts_equal_ends", "z_auto",
-        "z_base_case", "z_closed_m0", "z_oracle", "z_recur_firstone", "z_recur_split",
-        "z_reduce_to_m0",
+        "DEFAULT_ORACLE_LIMIT", "MemoCache", "binomial", "s_circular", "s_circular_oracle",
+        "terquem_T", "wrap_parity_predicts_equal_ends", "z_auto", "z_base_case",
+        "z_closed_m0", "z_oracle", "z_recur_firstone", "z_recur_split", "z_reduce_to_m0",
     ), "counting"),
     **dict.fromkeys((
-        "enumerate_Z", "enumerate_circular", "enumerate_terquem", "from_terquem",
-        "invert_bits", "to_terquem",
+        "PairProfile", "circular_pair_counts", "enumerate_Z", "enumerate_circular",
+        "enumerate_terquem", "from_terquem", "invert_bits", "linear_pair_counts",
+        "sd_encode", "to_terquem",
     ), "enumeration"),
     **dict.fromkeys((
         "Mismatch", "VerifyReport", "ZTable", "parse_z_table", "render_terquem_triangle",

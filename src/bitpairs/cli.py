@@ -26,7 +26,11 @@ Importing this module builds nothing, and of the package it imports only
 plain-form call never loads it.  The choices of `table`, `triangle` and
 `verify` are `tables` constants, loaded by those commands and by the
 parser; `enumerate` and `bijection` import `enumeration` when they run.  A
-plain-form `count` process loads neither.
+plain-form `count` process loads neither.  It loads `bitpairs.cli`,
+`bitpairs.counting` and the standard modules `counting` imports at its top;
+`array` only when the prime-power kernel takes a binomial, `_decimal` only
+past the int -> str digit limit, and never `signal`, `argparse` or
+`__future__`.
 
 `run` changes no interpreter-wide setting, so calls may overlap across
 threads as far as the package goes (each writes to the process's one
@@ -35,14 +39,14 @@ threads as far as the package goes (each writes to the process's one
 
 A closed stdout ends a command-line process quietly, as it ends any Unix
 filter: `main`, behind the console script and `python -m bitpairs`,
-restores the default SIGPIPE action where the platform has one, so
-`bitpairs enumerate ... | head -1` prints its line and the process dies of
+restores the default SIGPIPE action where the platform has one.  It does
+so through `_signal`, which the interpreter loads at start; `signal` builds
+three enum classes on import, and is used only where `_signal` is missing.
+So `bitpairs enumerate ... | head -1` prints its line and the process dies of
 SIGPIPE (status 141 in a shell) with nothing on stderr.  `run` installs no
 handler: called in-process, or where there is no SIGPIPE, it reports a
 failed write like any OSError, one line on stderr and status 2.
 """
-
-from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
@@ -93,7 +97,7 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: "argparse.Namespace") -> int:
     n, k, m, method = args.n, args.k, args.m, args.method
     if not args.circular:
         _check_length(n, circular=False)
@@ -112,7 +116,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: "argparse.Namespace") -> int:
     from .tables import render_z_table
 
     mode = "circular" if args.circular else "linear"
@@ -120,14 +124,14 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_triangle(args: argparse.Namespace) -> int:
+def _cmd_triangle(args: "argparse.Namespace") -> int:
     from .tables import render_terquem_triangle
 
     _emit(render_terquem_triangle(args.rows, args.format), args.out)
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: "argparse.Namespace") -> int:
     from .tables import verify_all
 
     report = verify_all(args.max_n, args.mode)
@@ -135,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.success else 1
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: "argparse.Namespace") -> int:
     from .enumeration import enumerate_circular, enumerate_Z
 
     listing = enumerate_circular if args.circular else enumerate_Z
@@ -156,7 +160,7 @@ def _parse_sequence(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _cmd_bijection(args: argparse.Namespace) -> int:
+def _cmd_bijection(args: "argparse.Namespace") -> int:
     from .enumeration import from_terquem, to_terquem
 
     if args.string is not None:
@@ -220,7 +224,7 @@ def _choices(kind: object) -> Optional[tuple[str, ...]]:
     return kind if isinstance(kind, tuple) else None
 
 
-def _add_command(p: argparse.ArgumentParser, command: str) -> None:
+def _add_command(p: "argparse.ArgumentParser", command: str) -> None:
     _, options, func = _COMMANDS[command]
     group = None
     for flag, (dest, kind, default, help_line) in options.items():
@@ -283,7 +287,7 @@ def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values, func=func)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> "argparse.ArgumentParser":
     """The full parser: every subcommand under `bitpairs`."""
     import argparse
 
@@ -319,7 +323,10 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    import signal
+    try:  # already loaded; `signal` would build its enum classes on import
+        import _signal as signal
+    except ImportError:
+        import signal
 
     if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process quietly
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

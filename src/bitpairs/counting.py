@@ -33,9 +33,11 @@ with 1: each is the complement of one that starts with 0, with k and m
 swapped.  The listings in ``enumeration`` print strings, not counts, so
 they read the same bits in a scan of their own: ``enumerate_Z`` over the
 strings that start with 0, and ``enumerate_circular`` over all 2**n with
-the wrap slot added.  :func:`linear_pair_counts` and
-:func:`circular_pair_counts` remain the string-level definitions the scans
-and the rings are tested against.
+the wrap slot added.  The string-level definitions that the scans and the
+rings are tested against, ``linear_pair_counts`` and
+``circular_pair_counts`` with their ``PairProfile``, live in
+``enumeration`` beside the listings, so a process that only counts never
+builds them.
 
 The transfer pass steps bottom-up to a length n on two grids of the
 query's (k + 1) x (m + 1) cells, one per last bit, so the recurrences'
@@ -65,30 +67,19 @@ power of two it has needed, at most ``PRIME_TABLE_LIMIT`` = 2**25.
 ``cache_clear()`` empties either.
 """
 
-from __future__ import annotations
-
 import math
-from array import array
 from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache, partial
 from itertools import compress, islice, product
 from operator import add
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
 # the one bound on every exhaustive scan: at n = 20 a pass reads the 2**19
 # strings that start with 0, and a ring listing all 2**20 strings
 DEFAULT_ORACLE_LIMIT = 20
 
 _Grid = list[list[int]]  # cell [a][b] for profile (a, b), 0 <= a <= k, 0 <= b <= m
-
-
-class PairProfile(NamedTuple):
-    """Length of a string together with its 0-pair and 1-pair counts."""
-
-    n: int
-    k: int
-    m: int
 
 
 class MemoCache(dict):
@@ -158,8 +149,10 @@ PRIME_TABLE_LIMIT = 1 << 25
 
 
 @lru_cache(maxsize=None)
-def _primes_to(limit: int) -> array:
+def _primes_to(limit: int) -> "array":
     """Every prime <= limit, ascending, from a throwaway sieve; callers share it."""
+    from array import array  # its only use: a count that takes no kernel binomial never loads it
+
     sieve = bytearray(b"\x01") * ((limit + 1) // 2)  # sieve[i] for the odd 2i + 1
     sieve[:1] = b"\x00"
     for p in range(3, math.isqrt(limit) + 1, 2):
@@ -270,53 +263,12 @@ def decimal_int(text: str) -> int:
     return int(decimal.Decimal(text))
 
 
-def _require_bits(b: str) -> None:
-    if not b:
-        raise ValueError("empty input")
-    if set(b) - {"0", "1"}:
-        raise ValueError(f"not a binary string: {b!r}")
-
-
 def _check_length(n: int, circular: bool) -> None:
     if circular:
         if n < 2:
             raise ValueError("circular adjacency undefined below length 2")
     elif n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-
-
-def linear_pair_counts(b: str) -> PairProfile:
-    """Profile of b under linear adjacency (wraparound excluded).
-
-    k counts indices i in 0..n-2 with b[i] = b[i+1] = 0, m likewise for 1s.
-    """
-    _require_bits(b)
-    pairs = [x for x, y in zip(b, b[1:]) if x == y]  # the bit of each adjacent equal pair
-    return PairProfile(len(b), pairs.count("0"), pairs.count("1"))
-
-
-def circular_pair_counts(b: str) -> PairProfile:
-    """Profile of b with position n-1 adjacent to position 0.
-
-    The linear profile plus the wraparound slot (b[-1], b[0]), so for n = 2
-    both orderings count and "00" yields k = 2.  Length below 2 is rejected:
-    a single bit has no second position to pair with.
-    """
-    n, k, m = linear_pair_counts(b)
-    _check_length(n, circular=True)
-    wrap = b[-1] + b[0]
-    return PairProfile(n, k + (wrap == "00"), m + (wrap == "11"))
-
-
-def sd_encode(b: str) -> str:
-    """Word over {S, D} describing each adjacent slot of b.
-
-    Letter i is "S" when bits i and i+1 agree and "D" when they differ, so
-    the result has length n-1 and its S-count equals k + m of the linear
-    profile.
-    """
-    _require_bits(b)
-    return "".join("S" if x == y else "D" for x, y in zip(b, b[1:]))
 
 
 def wrap_parity_predicts_equal_ends(n: int, k: int, m: int) -> bool:
@@ -376,9 +328,9 @@ def z_oracle(n: int, k: int, m: int) -> int:
     Ground truth for the formula-based routes.  One pass reads each string's
     pair counts and last bit off the bits of its index (see
     :func:`_profile_histogram`, which the tests pin to
-    :func:`linear_pair_counts`) and histograms all of that n, so repeated
-    queries at the same n cost nothing extra; z sums the two last-bit cells
-    of (k, m).  Exponential in n: refused above the oracle limit,
+    :func:`~bitpairs.enumeration.linear_pair_counts`) and histograms all of
+    that n, so repeated queries at the same n cost nothing extra; z sums the
+    two last-bit cells of (k, m).  Exponential in n: refused above the oracle limit,
     ``DEFAULT_ORACLE_LIMIT`` = 20.
     """
     _check_oracle_n(n, False)

@@ -1,18 +1,69 @@
-"""Explicit enumeration of counted strings and the Terquem correspondence.
+"""Binary strings themselves: profiles, listings and the Terquem correspondence.
 
-The functions here realize the sets whose sizes the counting module
-computes, in lexicographic order, and implement the bijection between
-1-pair-free strings and strictly increasing parity-alternating position
-sequences (the sequences counted by the A046854 triangle).
+The string-level definitions come first: :func:`linear_pair_counts` and
+:func:`circular_pair_counts` read a string's :class:`PairProfile` pair by
+pair, and the listings' scan and the oracles' histogram are tested against
+them.  The listings realize the sets whose sizes the counting module
+computes, in lexicographic order, and the bijection maps 1-pair-free
+strings to strictly increasing parity-alternating position sequences (the
+sequences counted by the A046854 triangle).  A process that only counts
+never imports this module.
 """
 
-from __future__ import annotations
+from typing import NamedTuple, Sequence
 
-from typing import Sequence
-
-from .counting import _check_length, _check_oracle_n, _require_bits
+from .counting import _check_length, _check_oracle_n
 
 _INVERT = str.maketrans("01", "10")
+
+
+class PairProfile(NamedTuple):
+    """Length of a string together with its 0-pair and 1-pair counts."""
+
+    n: int
+    k: int
+    m: int
+
+
+def _require_bits(b: str) -> None:
+    if not b:
+        raise ValueError("empty input")
+    if set(b) - {"0", "1"}:
+        raise ValueError(f"not a binary string: {b!r}")
+
+
+def linear_pair_counts(b: str) -> PairProfile:
+    """Profile of b under linear adjacency (wraparound excluded).
+
+    k counts indices i in 0..n-2 with b[i] = b[i+1] = 0, m likewise for 1s.
+    """
+    _require_bits(b)
+    pairs = [x for x, y in zip(b, b[1:]) if x == y]  # the bit of each adjacent equal pair
+    return PairProfile(len(b), pairs.count("0"), pairs.count("1"))
+
+
+def circular_pair_counts(b: str) -> PairProfile:
+    """Profile of b with position n-1 adjacent to position 0.
+
+    The linear profile plus the wraparound slot (b[-1], b[0]), so for n = 2
+    both orderings count and "00" yields k = 2.  Length below 2 is rejected:
+    a single bit has no second position to pair with.
+    """
+    n, k, m = linear_pair_counts(b)
+    _check_length(n, circular=True)
+    wrap = b[-1] + b[0]
+    return PairProfile(n, k + (wrap == "00"), m + (wrap == "11"))
+
+
+def sd_encode(b: str) -> str:
+    """Word over {S, D} describing each adjacent slot of b.
+
+    Letter i is "S" when bits i and i+1 agree and "D" when they differ, so
+    the result has length n-1 and its S-count equals k + m of the linear
+    profile.
+    """
+    _require_bits(b)
+    return "".join("S" if x == y else "D" for x, y in zip(b, b[1:]))
 
 
 def invert_bits(b: str) -> str:
@@ -55,7 +106,7 @@ def enumerate_circular(n: int, k: int, m: int) -> list[str]:
     strings, with the wrap slot that joins the last bit to the first added
     to the n - 1 linear ones, so n is refused above the oracle limit too.
     For n = 2 both orderings of the two bits count, as in
-    :func:`~bitpairs.counting.circular_pair_counts`.
+    :func:`circular_pair_counts`.
     """
     return _listing(n, k, m, True)
 

@@ -15,8 +15,6 @@ diffed byte-for-byte:
   :func:`parse_z_table` imports ``json``, ``csv`` and ``io``.
 """
 
-from __future__ import annotations
-
 import time
 from typing import NamedTuple
 

@@ -715,14 +715,19 @@ def spawn(argv, cwd):
 class TestImportFootprint:
     """A command imports only what it runs; a bare ``import bitpairs`` loads no submodule."""
 
-    # a fresh interpreter: the modules that importing the CLI and one command add
+    # a fresh interpreter: the modules that importing the CLI and one command
+    # add, run through `main` as `python -m bitpairs.cli` runs it
     PROBE = """\
 import sys
 before = set(sys.modules)
 import bitpairs.cli
-code = bitpairs.cli.run(sys.argv[1:])
-print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+try:
+    bitpairs.cli.main()
+except SystemExit as exit:
+    print(exit.code, *sorted(set(sys.modules) - before), file=sys.stderr)
 """
+    # what restoring SIGPIPE, the prime-power kernel and postponed annotations would load
+    UNRUN = {"signal", "array", "__future__"}
 
     def added(self, tmp_path, *argv, status="0"):
         code, _, err = spawn([sys.executable, "-c", self.PROBE, *argv], tmp_path)
@@ -734,6 +739,7 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
         added = self.added(tmp_path, "count", "--n", "8", "--k", "2", "--m", "2")
         assert "bitpairs.counting" in added
         assert not added & {"bitpairs.tables", "bitpairs.enumeration", "json", "csv"}
+        assert not added & {*self.UNRUN, "argparse"}
 
     @pytest.mark.parametrize(
         "argv", ["table --n 4 --format csv", "triangle --rows 4", "verify --max-n 4"]
@@ -741,7 +747,12 @@ print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
     def test_tables_commands_load_no_codecs(self, tmp_path, argv):
         added = self.added(tmp_path, *argv.split())
         assert "bitpairs.tables" in added
-        assert not added & {"json", "csv"}
+        assert not added & {"json", "csv", *self.UNRUN}
+
+    def test_kernel_loads_array(self, tmp_path):
+        # C(15498, 6498), past the math.comb cut-off, goes to the prime-power kernel
+        argv = ["count", "--n", "22000", "--k", "9000", "--m", "2"]
+        assert "array" in self.added(tmp_path, *argv)
 
     @pytest.mark.parametrize("argv", [
         "count --n 8 --k 2 --m 2 --circular --method split", "table --n 4 --format json --circular",

@@ -68,8 +68,9 @@ class TestEnumerate:
                     assert enumerate_Z(n, k, m) == want, (n, k, m)
 
     def test_circular_matches_strings(self):
-        # string-level ground truth for the oracle's ring rule and the
-        # listing's rotation scan: every length-n string by its circular profile
+        # string-level ground truth for the oracle's ring rule and the ring
+        # listing, one bitwise scan of all 2**n strings with the wrap slot
+        # added: every length-n string by its circular profile
         for n in range(2, 11):
             rings = {}
             for v in range(1 << n):
