@@ -40,8 +40,8 @@ threads as far as the package goes (each writes to the process's one
 A closed stdout ends a command-line process quietly, as it ends any Unix
 filter: `main`, behind the console script and `python -m bitpairs`,
 restores the default SIGPIPE action where the platform has one.  It does
-so through `_signal`, which the interpreter loads at start; `signal` builds
-three enum classes on import, and is used only where `_signal` is missing.
+so through `_signal`, which the interpreter loads at start and on which
+`signal` itself is built; `signal` would add three enum classes on import.
 So `bitpairs enumerate ... | head -1` prints its line and the process dies of
 SIGPIPE (status 141 in a shell) with nothing on stderr.  `run` installs no
 handler: called in-process, or where there is no SIGPIPE, it reports a
@@ -323,10 +323,7 @@ def run(argv: Optional[list[str]] = None) -> int:
 
 
 def main() -> None:
-    try:  # already loaded; `signal` would build its enum classes on import
-        import _signal as signal
-    except ImportError:
-        import signal
+    import _signal as signal  # already loaded; `signal` adds enum classes on top
 
     if hasattr(signal, "SIGPIPE"):  # a closed stdout ends the process quietly
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
