@@ -7,8 +7,8 @@ from bitpairs import enumerate_circular, enumerate_Z, verify_all
 
 print("verify_all sweeps the full (n, k, m) grid, comparing each fast method")
 print("to the exhaustive oracle, re-checking the closed form on the m = 0")
-print("column, the circular formula, the end-bit parity rule over every")
-print("string, and the column-collapse identity z(n,0,m) = z(n-1,m,0).")
+print("column and the circular formula, and testing the end-bit parity rule")
+print("on every string.")
 print()
 
 report = verify_all(12, "both")

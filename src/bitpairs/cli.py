@@ -29,8 +29,9 @@ parser; `enumerate` and `bijection` import `enumeration` when they run.  A
 plain-form `count` process loads neither.  It loads `bitpairs.cli`,
 `bitpairs.counting` and the standard modules `counting` imports at its top;
 `array` only when the prime-power kernel takes a binomial, `_decimal` only
-past the int -> str digit limit, and never `signal`, `argparse` or
-`__future__`.
+past the int -> str digit limit, and never `typing`, `signal`, `argparse`
+or `__future__`: the annotations are spelled with builtins and
+`collections.abc`, or quoted where they name argparse.
 
 `run` changes no interpreter-wide setting, so calls may overlap across
 threads as far as the package goes (each writes to the process's one
@@ -50,7 +51,6 @@ failed write like any OSError, one line on stderr and status 2.
 
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Optional
 
 from .counting import (
     _check_length,
@@ -64,9 +64,6 @@ from .counting import (
     z_recur_split,
     z_reduce_to_m0,
 )
-
-if TYPE_CHECKING:
-    import argparse
 
 METHODS = ("auto", "oracle", "split", "first-one", "reduce", "closed")
 
@@ -89,7 +86,7 @@ def _nonneg(text: str) -> int:
     return value
 
 
-def _emit(text: str, out: Optional[str]) -> None:
+def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -216,7 +213,7 @@ _COMMANDS = {
 }
 
 
-def _choices(kind: object) -> Optional[tuple[str, ...]]:
+def _choices(kind: object) -> tuple[str, ...] | None:
     if isinstance(kind, str):  # loaded only by the commands that run tables
         from . import tables
 
@@ -246,7 +243,7 @@ def _add_command(p: "argparse.ArgumentParser", command: str) -> None:
     p.set_defaults(func=func)
 
 
-def _read_plain(argv: list[str]) -> Optional[SimpleNamespace]:
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     """What `build_parser()` returns for `argv` in the plain form (see the
     module docstring), less its `command`, read without argparse; None for
     any other `argv`."""
@@ -307,7 +304,7 @@ def build_parser() -> "argparse.ArgumentParser":
     return parser
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
         args = _read_plain(argv) or build_parser().parse_args(argv)

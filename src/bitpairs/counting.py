@@ -70,10 +70,10 @@ power of two it has needed, at most ``PRIME_TABLE_LIMIT`` = 2**25.
 import math
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable, Iterator
 from functools import lru_cache, partial
 from itertools import compress, islice, product
 from operator import add
-from typing import Callable, Iterator, Optional
 
 # the one bound on every exhaustive scan: at n = 20 a pass reads the 2**19
 # strings that start with 0, and a ring listing all 2**20 strings
@@ -280,7 +280,7 @@ def wrap_parity_predicts_equal_ends(n: int, k: int, m: int) -> bool:
     return (n + k + m) % 2 == 1
 
 
-def z_base_case(n: int, k: int, m: int) -> Optional[int]:
+def z_base_case(n: int, k: int, m: int) -> int | None:
     """Boundary value of z(n, k, m), or None when a recurrence is needed.
 
     Zero for non-positive n or negative k/m, and whenever k + m >= n (a
@@ -425,7 +425,7 @@ def _z_layer(end0: list[int], end1: list[int], from_one: bool, n: int, m: int) -
     return _cells(end0 if from_one else list(map(add, end0, end1)), n, m)
 
 
-def _layer_cell(n: int, k: int, m: int, cache: Optional[MemoCache], from_one: bool) -> int:
+def _layer_cell(n: int, k: int, m: int, cache: MemoCache | None, from_one: bool) -> int:
     base = z_base_case(n, k, m)
     if base is not None:
         return base
@@ -440,7 +440,7 @@ def _layer_cell(n: int, k: int, m: int, cache: Optional[MemoCache], from_one: bo
     return layer[k][m]
 
 
-def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
+def z_recur_split(n: int, k: int, m: int, cache: MemoCache | None = None) -> int:
     """z via the last-bit case split (transfer matrices, Stanley *EC1* §4.7).
 
     A counted string of length n >= 2 is a shorter one with a bit appended,
@@ -454,7 +454,7 @@ def z_recur_split(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> 
     return _layer_cell(n, k, m, cache, False)
 
 
-def z_recur_firstone(n: int, k: int, m: int, cache: Optional[MemoCache] = None) -> int:
+def z_recur_firstone(n: int, k: int, m: int, cache: MemoCache | None = None) -> int:
     """z via the position of the first 1.
 
     For non-boundary input, z(n,k,m) is the sum over f = 1..k+1 of

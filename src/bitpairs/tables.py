@@ -216,16 +216,18 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     Covers, per mode, the full (n, k, m) grid with 0 <= k, m <= n for the
     four fast linear methods against :func:`z_oracle`, the closed form on
     the m = 0 column, and the circular formula against
-    :func:`s_circular_oracle`; plus, always, the z(n,0,m) = z(n-1,m,0)
-    identity and the end-bit parity rule.  Each check at a length n is one
-    (k, m, method, got, expected) record in one list, and a mismatch is a
-    record whose got differs from its expected.  Every record counts as one
-    check, except that the parity rule, checked once per (k, m, equal ends)
-    that a length-n string has (the oracle histogram's keys and their
-    complements'), weighs 2**n checks, one per string.  When a linear check
-    runs, the two recurrences are read off one transfer pass per seed on
-    the (max_n + 1) x (max_n + 1) grid, stepped once per length; the
-    circular mode steps none.  max_n runs from 2 to the oracle limit,
+    :func:`s_circular_oracle`; plus, always, the end-bit parity rule.  Every
+    record compares one route with an oracle, or the parity rule with the
+    strings themselves, and each method's records catch some fault that no
+    other method's do (the tests plant one per method).  Each check at a
+    length n is one (k, m, method, got, expected) record in one list, and a
+    mismatch is a record whose got differs from its expected.  Every record
+    counts as one check, except that the parity rule, checked once per
+    (k, m, equal ends) that a length-n string has (the oracle histogram's keys
+    and their complements'), weighs 2**n checks, one per string.  When a
+    linear check runs, the two recurrences are read off one transfer pass
+    per seed on the (max_n + 1) x (max_n + 1) grid, stepped once per length;
+    the circular mode steps none.  max_n runs from 2 to the oracle limit,
     ``DEFAULT_ORACLE_LIMIT`` = 20.  The report lists every mismatch sorted
     by (n, k, m, method); success means none.
     """
@@ -242,7 +244,7 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     methods = (
         ("split", "first-one", "reduce", "auto", "closed") * do_linear
         + ("circular",) * do_circular
-        + ("end-parity", "column-collapse")
+        + ("end-parity",)
     )
 
     # the recurrences' passes, one per seed; a generator runs nothing until stepped
@@ -266,10 +268,6 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
         if do_circular and n >= 2:
             for k, m in _grid(n, "circular"):
                 records.append((k, m, "circular", s_circular(n, k, m), s_circular_oracle(n, k, m)))
-
-        # the 0-pair-free column collapses to the previous length's m = 0 column
-        for m in range(n - 1):
-            records.append((0, m, "column-collapse", z_auto(n, 0, m), z_auto(n - 1, m, 0)))
 
         # end-bit parity rule, once per (k, m, whether the first and last bits
         # agree): the histogram keys (k, m, e) of the strings that start with 0

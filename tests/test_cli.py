@@ -715,8 +715,9 @@ def spawn(argv, cwd):
 class TestImportFootprint:
     """A command imports only what it runs; a bare ``import bitpairs`` loads no submodule."""
 
-    # a fresh interpreter: the modules that importing the CLI and one command
-    # add, run through `main` as `python -m bitpairs.cli` runs it
+    # a fresh interpreter under -S, so that no site hook has loaded anything
+    # first: the modules that importing the CLI and one command add, run
+    # through `main` as `python -m bitpairs.cli` runs it
     PROBE = """\
 import sys
 before = set(sys.modules)
@@ -730,7 +731,7 @@ except SystemExit as exit:
     UNRUN = {"signal", "array", "__future__"}
 
     def added(self, tmp_path, *argv, status="0"):
-        code, _, err = spawn([sys.executable, "-c", self.PROBE, *argv], tmp_path)
+        code, _, err = spawn([sys.executable, "-S", "-c", self.PROBE, *argv], tmp_path)
         got, *modules = err.splitlines()[-1].split()
         assert (code, got) == (0, status), err
         return set(modules)
@@ -739,7 +740,8 @@ except SystemExit as exit:
         added = self.added(tmp_path, "count", "--n", "8", "--k", "2", "--m", "2")
         assert "bitpairs.counting" in added
         assert not added & {"bitpairs.tables", "bitpairs.enumeration", "json", "csv"}
-        assert not added & {*self.UNRUN, "argparse"}
+        # no annotation needs typing, which brings re and enum
+        assert not added & {*self.UNRUN, "argparse", "typing", "re", "enum"}
 
     @pytest.mark.parametrize(
         "argv", ["table --n 4 --format csv", "triangle --rows 4", "verify --max-n 4"]

@@ -20,16 +20,21 @@ from bitpairs import (
     z_oracle,
     z_table,
 )
-from bitpairs.counting import _transfer, z_closed_m0
+from bitpairs.counting import (
+    _transfer,
+    binomial,
+    wrap_parity_predicts_equal_ends,
+    z_closed_m0,
+)
 from bitpairs.counting import z_reduce_to_m0 as real_reduce
 
 
-def _plus_one_at_5_1_1(seeded_from_one):
-    # the pass of that seed yields end0 with cell [1][1] one too high at
-    # length 5; in a copy, as the pass steps on from the rows it yielded
+def _plus_one_at_5_1_1(*seeds):
+    # the passes of those seeds (from_one) yield end0 with cell [1][1] one too
+    # high at length 5; in a copy, as the pass steps on from the rows it yielded
     def broken(n, k, m, from_one):
         for length, (end0, end1) in enumerate(_transfer(n, k, m, from_one), start=1):
-            if length == 5 and from_one == seeded_from_one:
+            if length == 5 and from_one in seeds:
                 end0 = end0[:]
                 end0[1] += 1 << n  # row a = 1 holds cell b = 1 in its second n-bit slot
             yield end0, end1
@@ -39,6 +44,42 @@ def _plus_one_at_5_1_1(seeded_from_one):
 
 def _plus_one_at(point, f):
     return lambda *args: f(*args) + (args == point)
+
+
+def _plant(monkeypatch, name, broken):
+    # a planted fault reaches every caller: the name in both modules that bind
+    # it, and s_circular's default z, bound when s_circular was defined
+    for module in (bitpairs.counting, bitpairs.tables):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, broken)
+    if name == "z_auto":
+        monkeypatch.setitem(s_circular.__kwdefaults__, "z", broken)
+
+
+def _mismatches_with(monkeypatch, name, broken):
+    # verify's mismatches on the full grid to n = 8 with the fault planted
+    _plant(monkeypatch, name, broken)
+    return verify_all(8, "both").mismatches
+
+
+# per verify method, in report order: a fault that only that method's records
+# catch, as the (n, k, m) cell it shows at, the name to patch and its broken version
+_WITNESSES = {
+    "split": ((5, 1, 1), "_transfer", _plus_one_at_5_1_1(False)),
+    "first-one": ((5, 1, 1), "_transfer", _plus_one_at_5_1_1(True)),
+    "reduce": ((5, 1, 1), "z_reduce_to_m0", _plus_one_at((5, 1, 1), real_reduce)),
+    # n + k + m is odd, so s_circular answers 0 there without calling z
+    "auto": ((5, 0, 2), "z_auto", _plus_one_at((5, 0, 2), z_auto)),
+    # k = n - 1: the reduction answers this cell from z_base_case
+    "closed": ((5, 4, 0), "z_closed_m0", _plus_one_at((5, 4), z_closed_m0)),
+    "circular": ((6, 1, 1), "s_circular", _plus_one_at((6, 1, 1), s_circular)),
+    "end-parity": (
+        (5, 1, 1),
+        "wrap_parity_predicts_equal_ends",
+        lambda *args: wrap_parity_predicts_equal_ends(*args) != (args == (5, 1, 1)),
+    ),
+}
+_RING_AND_PARITY = ("circular", "end-parity")
 
 
 class TestZTable:
@@ -268,25 +309,24 @@ class TestVerifyAll:
         assert report.mismatches == ()
         assert report.checks > 0
         assert "PASS: 0 mismatches" in report.summary()
-        assert set(report.methods) == {
-            "split", "first-one", "reduce", "auto", "closed",
-            "circular", "end-parity", "column-collapse",
-        }
+        assert report.methods == (
+            "split", "first-one", "reduce", "auto", "closed", "circular", "end-parity",
+        )
 
     @pytest.mark.parametrize("mode", ["linear", "circular", "both"])
     @pytest.mark.parametrize("max_n", [2, 5, 9, 14])
     def test_check_count(self, max_n, mode):
         # per n: the (n+1)^2 grid for the four linear routes plus the n+1
         # cells of the closed form's column, the ring's (n+1)^2 grid from
-        # n = 2, 2^n strings for end parity and n-1 column-collapse cells
+        # n = 2, and 2^n strings for end parity
         lengths = range(1, max_n + 1)
         linear = sum(4 * (n + 1) ** 2 + (n + 1) for n in lengths)
         circular = sum((n + 1) ** 2 for n in lengths if n >= 2)
-        always = sum(2**n + max(0, n - 1) for n in lengths)
+        always = sum(2**n for n in lengths)
         want = always + {"linear": linear, "circular": circular, "both": linear + circular}[mode]
         assert verify_all(max_n, mode).checks == want
         if max_n == 14:
-            assert want == {"linear": 37932, "circular": 34092, "both": 39167}[mode]
+            assert want == {"linear": 37841, "circular": 34001, "both": 39076}[mode]
 
     def test_minimum_range(self):
         report = verify_all(2, "linear")
@@ -314,23 +354,36 @@ class TestVerifyAll:
         assert "FAIL: 1 mismatches" in report.summary()
         assert "reduce at (n=5, k=1, m=1): got 999, expected 2" in report.summary()
 
+    @staticmethod
+    def caught_alone(monkeypatch, method):
+        # the witness shows as one mismatch: that method's, at the planted cell
+        cell, name, broken = _WITNESSES[method]
+        assert [w[:4] for w in _mismatches_with(monkeypatch, name, broken)] == [(*cell, method)]
+
+    @pytest.mark.parametrize("method", [m for m in _WITNESSES if m not in _RING_AND_PARITY])
+    def test_fault_injection_each_linear_check(self, monkeypatch, method):
+        self.caught_alone(monkeypatch, method)
+
+    @pytest.mark.parametrize("method", _RING_AND_PARITY)
+    def test_fault_injection_each_ring_and_parity_check(self, monkeypatch, method):
+        self.caught_alone(monkeypatch, method)
+
+    def test_every_method_has_a_witness(self):
+        assert tuple(_WITNESSES) == verify_all(2, "both").methods
+
     @pytest.mark.parametrize(
-        "name, broken, expected",
+        "name, broken, caught",
         [
-            ("_transfer", _plus_one_at_5_1_1(False), [Mismatch(5, 1, 1, "split", 3, 2)]),
-            ("_transfer", _plus_one_at_5_1_1(True), [Mismatch(5, 1, 1, "first-one", 3, 2)]),
-            ("z_auto", _plus_one_at((5, 1, 1), z_auto), [Mismatch(5, 1, 1, "auto", 3, 2)]),
-            ("z_auto", _plus_one_at((5, 0, 2), z_auto),
-             [Mismatch(5, 0, 2, "auto", 2, 1), Mismatch(5, 0, 2, "column-collapse", 2, 1)]),
-            ("z_closed_m0", _plus_one_at((5, 1), z_closed_m0),
-             [Mismatch(5, 1, 0, "closed", 3, 2)]),
+            # the step both recurrences share: both catch it, and nothing else
+            ("_transfer", _plus_one_at_5_1_1(False, True), {"split", "first-one"}),
+            ("binomial", _plus_one_at((4, 2), binomial), {"auto", "circular", "closed", "reduce"}),
+            # off the boundary the reduction answers the m = 0 column with the closed form
+            ("z_closed_m0", _plus_one_at((5, 1), z_closed_m0), {"closed", "reduce"}),
         ],
-        ids=["split", "first-one", "auto", "auto-and-collapse", "closed"],
+        ids=["transfer-step", "binomial", "closed-column"],
     )
-    def test_fault_injection_each_linear_check(self, monkeypatch, name, broken, expected):
-        monkeypatch.setattr(bitpairs.tables, name, broken)
-        report = verify_all(6, "linear")
-        assert report.mismatches == tuple(expected)
+    def test_fault_injection_shared_code(self, monkeypatch, name, broken, caught):
+        assert {w.method for w in _mismatches_with(monkeypatch, name, broken)} == caught
 
     def test_fault_injection_oracle(self, monkeypatch):
         # the oracle one too high at a cell of the m = 0 column: every linear
