@@ -28,10 +28,11 @@ plain-form call never loads it.  The choices of `table`, `triangle` and
 parser; `enumerate` and `bijection` import `enumeration` when they run.  A
 plain-form `count` process loads neither.  It loads `bitpairs.cli`,
 `bitpairs.counting` and the standard modules `counting` imports at its top;
-`array` only when the prime-power kernel takes a binomial, `_decimal` only
-past the int -> str digit limit, and never `typing`, `signal`, `argparse`
-or `__future__`: the annotations are spelled with builtins and
-`collections.abc`, or quoted where they name argparse.
+`array` only when the prime-power kernel takes a binomial, and `_decimal`
+only past the int -> str digit limit.  No plain-form process, whatever its
+command, loads `typing`, `signal`, `argparse` or `__future__`: the
+annotations are spelled with builtins and `collections.abc`, or quoted where
+they name argparse, and the record types are `collections.namedtuple`s.
 
 `run` changes no interpreter-wide setting, so calls may overlap across
 threads as far as the package goes (each writes to the process's one

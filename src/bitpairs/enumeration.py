@@ -10,19 +10,18 @@ sequences counted by the A046854 triangle).  A process that only counts
 never imports this module.
 """
 
-from typing import NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .counting import _check_length, _check_oracle_n
 
 _INVERT = str.maketrans("01", "10")
 
 
-class PairProfile(NamedTuple):
-    """Length of a string together with its 0-pair and 1-pair counts."""
+class PairProfile(namedtuple("PairProfile", "n k m")):
+    """Length n of a string together with its 0-pair count k and 1-pair count m."""
 
-    n: int
-    k: int
-    m: int
+    __slots__ = ()
 
 
 def _require_bits(b: str) -> None:

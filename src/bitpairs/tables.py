@@ -16,7 +16,7 @@ diffed byte-for-byte:
 """
 
 import time
-from typing import NamedTuple
+from collections import namedtuple
 
 from .counting import (
     _check_length,
@@ -56,17 +56,16 @@ def _grid(n: int, mode: str) -> list[tuple[int, int]]:
     return [(k, m) for k in side for m in side]
 
 
-class ZTable(NamedTuple):
+class ZTable(namedtuple("ZTable", "n mode cells")):
     """Every profile count for one string length, zero cells included.
 
-    Linear tables cover 0 <= k, m <= n-1 and sum to 2**(n-1); circular
-    tables cover 0 <= k, m <= n (the constant strings pair at all n slots)
-    and sum to 2**n.
+    ``mode`` is "linear" or "circular", and ``cells`` holds (k, m, count)
+    triples sorted by (k, m).  Linear tables cover 0 <= k, m <= n-1 and sum
+    to 2**(n-1); circular tables cover 0 <= k, m <= n (the constant strings
+    pair at all n slots) and sum to 2**n.
     """
 
-    n: int
-    mode: str  # "linear" or "circular"
-    cells: tuple[tuple[int, int, int], ...]  # (k, m, count) sorted by (k, m)
+    __slots__ = ()
 
     def total(self) -> int:
         return sum(c for _, _, c in self.cells)
@@ -171,24 +170,19 @@ def render_terquem_triangle(rows: int, fmt: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 
-class Mismatch(NamedTuple):
-    n: int
-    k: int
-    m: int
-    method: str
-    got: int
-    expected: int
+# one failed check: the method's count `got` at (n, k, m) against the `expected` one
+Mismatch = namedtuple("Mismatch", "n k m method got expected")
 
 
-class VerifyReport(NamedTuple):
-    """Outcome of cross-checking the fast methods against the oracles."""
+class VerifyReport(namedtuple("VerifyReport", "max_n mode methods checks mismatches elapsed")):
+    """Outcome of cross-checking the fast methods against the oracles.
 
-    max_n: int
-    mode: str
-    methods: tuple[str, ...]
-    checks: int
-    mismatches: tuple[Mismatch, ...]
-    elapsed: float
+    ``mode`` is "linear", "circular" or "both"; ``methods`` names the methods
+    checked, in order; ``mismatches`` holds every failed check as a
+    :class:`Mismatch`, sorted by (n, k, m, method); ``elapsed`` is in seconds.
+    """
+
+    __slots__ = ()
 
     @property
     def success(self) -> bool:

@@ -727,8 +727,9 @@ try:
 except SystemExit as exit:
     print(exit.code, *sorted(set(sys.modules) - before), file=sys.stderr)
 """
-    # what restoring SIGPIPE, the prime-power kernel and postponed annotations would load
-    UNRUN = {"signal", "array", "__future__"}
+    # what restoring SIGPIPE, the prime-power kernel and postponed annotations
+    # would load, and typing with its re and enum, which no module needs
+    UNRUN = {"signal", "array", "__future__", "typing", "re", "enum"}
 
     def added(self, tmp_path, *argv, status="0"):
         code, _, err = spawn([sys.executable, "-S", "-c", self.PROBE, *argv], tmp_path)
@@ -740,8 +741,7 @@ except SystemExit as exit:
         added = self.added(tmp_path, "count", "--n", "8", "--k", "2", "--m", "2")
         assert "bitpairs.counting" in added
         assert not added & {"bitpairs.tables", "bitpairs.enumeration", "json", "csv"}
-        # no annotation needs typing, which brings re and enum
-        assert not added & {*self.UNRUN, "argparse", "typing", "re", "enum"}
+        assert not added & {*self.UNRUN, "argparse"}
 
     @pytest.mark.parametrize(
         "argv", ["table --n 4 --format csv", "triangle --rows 4", "verify --max-n 4"]
@@ -749,7 +749,15 @@ except SystemExit as exit:
     def test_tables_commands_load_no_codecs(self, tmp_path, argv):
         added = self.added(tmp_path, *argv.split())
         assert "bitpairs.tables" in added
-        assert not added & {"json", "csv", *self.UNRUN}
+        assert not added & {"json", "csv", "argparse", *self.UNRUN}
+
+    @pytest.mark.parametrize(
+        "argv", ["enumerate --n 8 --k 2 --m 2 --circular", "bijection --string 0010"]
+    )
+    def test_enumeration_commands_load_no_tables(self, tmp_path, argv):
+        added = self.added(tmp_path, *argv.split())
+        assert "bitpairs.enumeration" in added
+        assert not added & {"bitpairs.tables", "json", "csv", "argparse", *self.UNRUN}
 
     @pytest.mark.parametrize("argv", [
         "count --n 8 --k 2 --m 2 --circular --method split", "table --n 4 --format json --circular",

@@ -6,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import islice
+from itertools import count, islice, zip_longest
 
 import pytest
 
@@ -58,8 +58,71 @@ class TestBinomial:
                 assert binomial(a, b) == binomial(a - 1, b - 1) + binomial(a - 1, b)
 
 
+def _is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def _digits(x, p):
+    """The base-p digits of x, least significant first."""
+    digits = []
+    while x:
+        x, d = divmod(x, p)
+        digits.append(d)
+    return digits
+
+
+def _carries(x, y, p):
+    """The carries made when x and y are added in base p."""
+    carries = carry = 0
+    while x or y:
+        carry = x % p + y % p + carry >= p
+        carries += carry
+        x, y = x // p, y // p
+    return carries
+
+
+def _lucas(a, b, p):
+    """C(a, b) mod p as the product of the binomials of the base-p digits."""
+    residue = 1
+    for x, y in zip_longest(_digits(a, p), _digits(b, p), fillvalue=0):
+        if y > x:
+            return 0
+        y = min(y, x - y)
+        # C(x, y) = (x - y + 1) ... x / y!, 64 factors at a time
+        for i in range(0, y, 64):
+            j = min(i + 64, y)
+            top = math.prod(range(x - y + 1 + i, x - y + 1 + j))
+            residue = residue * top * pow(math.prod(range(i + 1, j + 1)), -1, p) % p
+    return residue
+
+
 class TestPrimePowerKernel:
     """The kernel behind binomial above the cut-off, called directly."""
+
+    def test_kummer_and_lucas(self):
+        # checks that share no code with the kernel: the exponent of a prime p
+        # in C(a, b) is the number of carries in b + (a - b) in base p
+        # (Kummer), and C(a, b) mod p is the product of the binomials of the
+        # base-p digits (Lucas).  Besides 2..13, the primes checked sit on
+        # each side of the kernel's phase ends sqrt(a) and b, of the first
+        # slice's lower end a - b and of the second's upper end a / 2, and
+        # just below a, the first slice's upper end
+        rng = random.Random(20261021)
+        for _ in range(30):
+            a = rng.randint(2000, 2 * 10**5)
+            b = rng.randint(math.isqrt(_COMB_CUTOFF * a) + 1, a // 2)
+            assert b * b > _COMB_CUTOFF * a  # so binomial takes the kernel
+            result = binomial(a, b)
+            primes = {2, 3, 5, 7, 11, 13}
+            for x in (math.isqrt(a), b, a - b, a // 2, a):
+                primes.add(next(p for p in range(x, 1, -1) if _is_prime(p)))
+                if x < a:
+                    primes.add(next(p for p in count(x + 1) if _is_prime(p)))
+            for p in sorted(primes):
+                e = _carries(b, a - b, p)
+                unit, rest = divmod(result, p**e)
+                assert rest == 0 and unit % p, (a, b, p)
+                assert result % p == _lucas(a, b, p), (a, b, p)
 
     def test_every_b_up_to_400(self):
         for a in range(401):

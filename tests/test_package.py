@@ -1,6 +1,7 @@
 """The package surface: every public name loads its submodule on first use."""
 
 import importlib
+import pickle
 
 import pytest
 
@@ -47,6 +48,29 @@ def test_star_import_binds_every_name(unbound):
 
 def test_dir_lists_every_name(unbound):
     assert set(PUBLIC) | {"__version__"} <= set(dir(unbound))
+
+
+@pytest.mark.parametrize("name, fields", [
+    ("ZTable", ("n", "mode", "cells")),
+    ("Mismatch", ("n", "k", "m", "method", "got", "expected")),
+    ("VerifyReport", ("max_n", "mode", "methods", "checks", "mismatches", "elapsed")),
+    ("PairProfile", ("n", "k", "m")),
+])
+def test_records_are_named_tuples(name, fields):
+    # each record type keeps the fields, tuple equality, repr, helpers and
+    # pickling of a named tuple, and its instances no __dict__
+    cls = getattr(bitpairs, name)
+    values = tuple(range(len(fields)))
+    record = cls(*values)
+    assert cls._fields == fields
+    assert record == values
+    assert repr(record) == f"{name}({', '.join(f'{f}={v}' for f, v in zip(fields, values))})"
+    assert record._asdict() == dict(zip(fields, values))
+    changed = record._replace(**{fields[0]: 9})
+    assert (type(changed), changed) == (cls, (9, *values[1:]))
+    copy = pickle.loads(pickle.dumps(record))
+    assert (type(copy), copy) == (cls, record)
+    assert not hasattr(record, "__dict__")
 
 
 def test_unknown_name_names_the_module():
