@@ -12,7 +12,7 @@ Conventions used throughout the package:
 
 z is computed by six routes that the test-suite cross-checks against each
 other.  They are not six independent derivations: the two recurrences are
-one stepped transfer pass (:func:`_transfer`) seeded two ways, each with its
+one transfer pass (:func:`_transfer`) seeded two ways, each with its
 readout (:func:`_z_layer`); the reduction answers the m = 0 column with the
 closed form; and those two and the runs count take every binomial from
 :func:`binomial`.
@@ -41,13 +41,13 @@ builds them.
 
 The transfer pass steps bottom-up to a length n on two grids of the
 query's (k + 1) x (m + 1) cells, one per last bit, so the recurrences'
-memory is bounded; a recurrence reads the layer at its n, and
-``verify_all`` reads every layer of one pass per seed.  A grid is k + 1
-ints, one per row, each holding the row's m + 1 cells in n-bit slots: no
-cell at a length L <= n exceeds 2**(L-1), so no slot carries into the
-next, and one int addition or shift steps a whole row.  A pass above
-``TRANSFER_GRID_BITS`` = 2**30 bits a grid is refused with a ValueError
-before it starts.
+memory is bounded, and returns the grids at n: a recurrence reads them at
+its n, and ``verify_all`` runs one pass per seed to each length it checks,
+on the (n + 1) x (n + 1) grid.  A grid is k + 1 ints, one per row, each
+holding the row's m + 1 cells in n-bit slots: no cell at a length L <= n
+exceeds 2**(L-1), so no slot carries into the next, and one int addition
+or shift steps a whole row.  A pass above ``TRANSFER_GRID_BITS`` = 2**30
+bits a grid is refused with a ValueError before it starts.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  :func:`decimal_digits` is the one place a count becomes decimal
@@ -70,9 +70,9 @@ power of two it has needed, at most ``PRIME_TABLE_LIMIT`` = 2**25.
 import math
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from functools import lru_cache, partial
-from itertools import compress, islice, product
+from itertools import compress, product
 from operator import add
 
 # the one bound on every exhaustive scan: at n = 20 a pass reads the 2**19
@@ -364,8 +364,8 @@ def s_circular_oracle(n: int, k: int, m: int) -> int:
 TRANSFER_GRID_BITS = 1 << 30
 
 
-def _transfer(n: int, k: int, m: int, from_one: bool) -> Iterator[tuple[list[int], list[int]]]:
-    """The last-bit transfer pass: (end0, end1) at lengths 1, 2, ..., n.
+def _transfer(n: int, k: int, m: int, from_one: bool) -> tuple[list[int], list[int]]:
+    """The last-bit transfer pass: (end0, end1) at length n.
 
     The strings grow from "0", and also from "1" when ``from_one``.
     end0[a][b] and end1[a][b] count the strings of the current length with
@@ -384,8 +384,7 @@ def _transfer(n: int, k: int, m: int, from_one: bool) -> Iterator[tuple[list[int
     operations on rows of (m + 1)n bits, not 2(k + 1)(m + 1) additions.
     A pass whose grid would exceed ``TRANSFER_GRID_BITS`` = 2**30 bits is
     refused with a ValueError, "recurrence grid too large: ...", before it
-    allocates a row.  Every step builds new rows from the ones it yielded,
-    so those must not be changed in place.
+    allocates a row.
     """
     bits = (k + 1) * (m + 1) * n
     if bits > TRANSFER_GRID_BITS:
@@ -394,12 +393,11 @@ def _transfer(n: int, k: int, m: int, from_one: bool) -> Iterator[tuple[list[int
     end0 = [int(a == 0) for a in range(k + 1)]
     end1 = end0 if from_one else [0] * (k + 1)
     for _ in range(n - 1):
-        yield end0, end1
         end0, end1 = (
             list(map(add, [0, *end0], end1)),  # map stops with end1, at row k
             [row0 + (row1 << n & row_mask) for row0, row1 in zip(end0, end1)],
         )
-    yield end0, end1
+    return end0, end1
 
 
 def _cells(rows: list[int], w: int, m: int) -> _Grid:
@@ -409,7 +407,7 @@ def _cells(rows: list[int], w: int, m: int) -> _Grid:
 
 
 def _z_layer(end0: list[int], end1: list[int], from_one: bool, n: int, m: int) -> _Grid:
-    """z(L, a, b) on the grid, from the rows at length L of :func:`_transfer`'s pass to n.
+    """z(n, a, b) on the grid, from the rows that :func:`_transfer`'s pass to n returns.
 
     Grown from "0" alone (the last-bit split), z sums the two end-bit grids,
     one int addition a row, as a string ends in one bit only.  Grown from
@@ -431,7 +429,7 @@ def _layer_cell(n: int, k: int, m: int, cache: MemoCache | None, from_one: bool)
         return base
     if cache is not None and (n, k, m) in cache:
         return cache[n, k, m]
-    end0, end1 = next(islice(_transfer(n, k, m, from_one), n - 1, None))
+    end0, end1 = _transfer(n, k, m, from_one)
     if cache is None:
         return _z_layer(end0[k:], end1[k:], from_one, n, m)[0][m]  # row k alone
     layer = _z_layer(end0, end1, from_one, n, m)
@@ -460,9 +458,9 @@ def z_recur_firstone(n: int, k: int, m: int, cache: MemoCache | None = None) -> 
     For non-boundary input, z(n,k,m) is the sum over f = 1..k+1 of
     z(n-f, m, k+1-f): everything before the first 1 is a block of f leading
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
-    the pair roles swapped, on one diagonal of the lower layers (see
-    :func:`_z_layer`).  ``cache`` and the grid bound work as for
-    :func:`z_recur_split`.
+    the pair roles swapped, on one diagonal of the lower layers, which the
+    transfer pass to n sums as it goes (see :func:`_z_layer`).  ``cache``
+    and the grid bound work as for :func:`z_recur_split`.
     """
     return _layer_cell(n, k, m, cache, True)
 

@@ -219,9 +219,9 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
     counts as one check, except that the parity rule, checked once per
     (k, m, equal ends) that a length-n string has (the oracle histogram's keys
     and their complements'), weighs 2**n checks, one per string.  When a
-    linear check runs, the two recurrences are read off one transfer pass
-    per seed on the (max_n + 1) x (max_n + 1) grid, stepped once per length;
-    the circular mode steps none.  max_n runs from 2 to the oracle limit,
+    linear check runs, the two recurrences at each length n are read off
+    one transfer pass per seed to n on the (n + 1) x (n + 1) grid; the
+    circular mode runs none.  max_n runs from 2 to the oracle limit,
     ``DEFAULT_ORACLE_LIMIT`` = 20.  The report lists every mismatch sorted
     by (n, k, m, method); success means none.
     """
@@ -241,14 +241,11 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
         + ("end-parity",)
     )
 
-    # the recurrences' passes, one per seed; a generator runs nothing until stepped
-    split_pass = _transfer(max_n, max_n, max_n, False)
-    firstone_pass = _transfer(max_n, max_n, max_n, True)
     for n in range(1, max_n + 1):
         records = []  # (k, m, method, got, expected), one per check at length n
-        if do_linear:  # each pass steps once per length, and only for the linear checks
-            split = _z_layer(*next(split_pass), False, max_n, max_n)
-            firstone = _z_layer(*next(firstone_pass), True, max_n, max_n)
+        if do_linear:  # one transfer pass per seed to this n, for the linear checks only
+            split = _z_layer(*_transfer(n, n, n, False), False, n, n)
+            firstone = _z_layer(*_transfer(n, n, n, True), True, n, n)
             for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
                 want = z_oracle(n, k, m)
                 records += [

@@ -159,24 +159,21 @@ class TestCount:
 
     def test_recurrence_builds_one_layer(self, capsys, monkeypatch):
         # a linear or a circular query is one z call, so one transfer pass,
-        # stepped to the query's length n = 10
+        # to the query's length n = 10
         transfer, built = bitpairs.counting._transfer, []
 
-        def counted(n, k, m, from_one):
-            record = [n, k, m, from_one, 0]  # the pass's arguments and grids drawn
-            built.append(record)
-            for grids in transfer(n, k, m, from_one):
-                record[4] += 1
-                yield grids
+        def counted(*args):
+            built.append(args)
+            return transfer(*args)
 
         monkeypatch.setattr(bitpairs.counting, "_transfer", counted)
         for method, from_one in (("split", False), ("first-one", True)):
             args = ("count", "--n", "10", "--k", "2", "--m", "4", "--method", method)
             assert invoke(capsys, *args) == (0, "15\n", "")
-            assert built == [[10, 2, 4, from_one, 10]]
+            assert built == [(10, 2, 4, from_one)]
             built.clear()
             assert invoke(capsys, *args, "--circular") == (0, "75\n", "")
-            assert built == [[10, 2, 4, from_one, 10]]
+            assert built == [(10, 2, 4, from_one)]
             built.clear()
 
     def test_recurrence_grid_over_budget_refused(self, capsys):

@@ -6,7 +6,7 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
-from itertools import count, islice, zip_longest
+from itertools import count, zip_longest
 
 import pytest
 
@@ -32,6 +32,7 @@ from bitpairs import (
 )
 from bitpairs.counting import (
     _COMB_CUTOFF,
+    PRIME_TABLE_LIMIT,
     _cells,
     _prime_power_binomial,
     _primes_to,
@@ -108,9 +109,18 @@ class TestPrimePowerKernel:
         # slice's lower end a - b and of the second's upper end a / 2, and
         # just below a, the first slice's upper end
         rng = random.Random(20261021)
+        pairs = []
         for _ in range(30):
             a = rng.randint(2000, 2 * 10**5)
-            b = rng.randint(math.isqrt(_COMB_CUTOFF * a) + 1, a // 2)
+            pairs.append((a, rng.randint(math.isqrt(_COMB_CUTOFF * a) + 1, a // 2)))
+        # the table's edge: a = 2**25 and two a in (2**24, 2**25], all on the
+        # 2**25 table, with b at most twice the cut-off's, so each product
+        # stays under 1.7 Mbit
+        edge = PRIME_TABLE_LIMIT
+        for a in (edge, rng.randint(edge // 2 + 1, edge), rng.randint(edge // 2 + 1, edge)):
+            root = math.isqrt(_COMB_CUTOFF * a)
+            pairs.append((a, rng.randint(root + 1, 2 * root)))
+        for a, b in pairs:
             assert b * b > _COMB_CUTOFF * a  # so binomial takes the kernel
             result = binomial(a, b)
             primes = {2, 3, 5, 7, 11, 13}
@@ -448,8 +458,7 @@ class TestRecurrences:
         # with k > m, k < m and both beyond the k + m < n interior
         for n in range(1, 15):
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
-                ends = next(islice(_transfer(n, k, m, from_one), n - 1, None))
-                layer = _z_layer(*ends, from_one, n, m)
+                layer = _z_layer(*_transfer(n, k, m, from_one), from_one, n, m)
                 assert [len(row) for row in layer] == [m + 1] * (k + 1), (n, k, m)
                 for a in range(k + 1):
                     for b in range(m + 1):
@@ -464,21 +473,20 @@ class TestRecurrences:
             for k, m in ((n + 2, 0), (0, n + 1), (3, 7)):
                 one_bit = [[int(a == b == 0) for b in range(m + 1)] for a in range(k + 1)]
                 zeros = [[0] * (m + 1) for _ in range(k + 1)]
-                # every grid of each pass to n, as cells of n bits
-                from0 = [[_cells(g, n, m) for g in ends] for ends in _transfer(n, k, m, False)]
-                both = [[_cells(g, n, m) for g in ends] for ends in _transfer(n, k, m, True)]
-                assert len(from0) == len(both) == n
+                # both grids of each pass to n, as cells of n bits
+                from0 = [_cells(g, n, m) for g in _transfer(n, k, m, False)]
+                both = [_cells(g, n, m) for g in _transfer(n, k, m, True)]
                 for a in range(k + 1):
                     for b in range(m + 1):
                         z = z_oracle(n, a, b)
                         ends_equal = (n - 1 - a - b) % 2 == 0
-                        assert from0[-1][0][a][b] == (z if ends_equal else 0), (n, a, b)
-                        assert from0[-1][1][a][b] == (0 if ends_equal else z), (n, a, b)
-                        assert both[-1][0][a][b] == z, (n, a, b)
-                        assert both[-1][1][a][b] == z_oracle(n, b, a), (n, a, b)
-                # the seeds, the grids at length 1, come back unchanged
-                assert from0[0] == [one_bit, zeros]
-                assert both[0] == [one_bit, one_bit]
+                        assert from0[0][a][b] == (z if ends_equal else 0), (n, a, b)
+                        assert from0[1][a][b] == (0 if ends_equal else z), (n, a, b)
+                        assert both[0][a][b] == z, (n, a, b)
+                        assert both[1][a][b] == z_oracle(n, b, a), (n, a, b)
+                # the seeds, the grids of a pass to length 1, in 1-bit slots
+                assert [_cells(g, 1, m) for g in _transfer(1, k, m, False)] == [one_bit, zeros]
+                assert [_cells(g, 1, m) for g in _transfer(1, k, m, True)] == [one_bit, one_bit]
 
     @pytest.mark.parametrize("from_one", [False, True], ids=["split", "first-one"])
     def test_narrowest_slots(self, from_one):
@@ -486,7 +494,7 @@ class TestRecurrences:
         # holds the largest cells, up to 2**(n-1): every cell of the
         # (n+1) x (n+1) readout, and first-one's end-in-1 grid, against z_auto
         for n in range(1, 41):
-            end0, end1 = next(islice(_transfer(n, n, n, from_one), n - 1, None))
+            end0, end1 = _transfer(n, n, n, from_one)
             layer = _z_layer(end0, end1, from_one, n, n)
             assert [len(row) for row in layer] == [n + 1] * (n + 1), n
             assert layer == [[z_auto(n, a, b) for b in range(n + 1)] for a in range(n + 1)], n
@@ -494,15 +502,21 @@ class TestRecurrences:
                 want = [[z_auto(n, b, a) for b in range(n + 1)] for a in range(n + 1)]
                 assert _cells(end1, n, n) == want, n
 
-    def test_grid_budget(self):
-        # a pass of exactly TRANSFER_GRID_BITS a grid starts; one bit a row
-        # more is refused at its first step, before it builds a row
+    def test_grid_budget(self, monkeypatch):
+        # one bit a row over TRANSFER_GRID_BITS is refused before the pass
+        # builds a row; a pass of exactly the budget runs, shown on a budget
+        # of 72 bits, the grid of (6, 3, 2)
         assert bitpairs.counting.TRANSFER_GRID_BITS == 2**30
-        end0, end1 = next(_transfer(2**10, 2**10 - 1, 2**10 - 1, True))
-        assert end0 == end1 == [1] + [0] * (2**10 - 1)
         with pytest.raises(ValueError, match=r"^recurrence grid too large: "
                            r"\(k\+1\)\(m\+1\)n = 1074790400 bits > 2\*\*30$"):
-            next(_transfer(2**10 + 1, 2**10 - 1, 2**10 - 1, True))
+            _transfer(2**10 + 1, 2**10 - 1, 2**10 - 1, True)
+        monkeypatch.setattr(bitpairs.counting, "TRANSFER_GRID_BITS", 72)
+        for from_one in (False, True):
+            layer = _z_layer(*_transfer(6, 3, 2, from_one), from_one, 6, 2)
+            assert layer == [[z_oracle(6, a, b) for b in range(3)] for a in range(4)]
+            with pytest.raises(ValueError, match=r"^recurrence grid too large: "
+                               r"\(k\+1\)\(m\+1\)n = 84 bits "):
+                _transfer(7, 3, 2, from_one)
 
     @pytest.mark.parametrize(
         "recur,n,k,m,bound",
@@ -878,11 +892,11 @@ def transfer_mismatches(max_n):
     checked."""
     routes = bitpairs.counting
     found = []
-    passes = zip(_transfer(max_n, max_n, max_n, False), _transfer(max_n, max_n, max_n, True))
-    for n, (split_ends, firstone_ends) in enumerate(passes, start=1):
-        split = _z_layer(*split_ends, False, max_n, max_n)
-        firstone = _z_layer(*firstone_ends, True, max_n, max_n)
-        end_bit = [_cells(rows, max_n, max_n) for rows in split_ends]
+    for n in range(1, max_n + 1):
+        split_ends = _transfer(n, n, n, False)
+        split = _z_layer(*split_ends, False, n, n)
+        firstone = _z_layer(*_transfer(n, n, n, True), True, n, n)
+        end_bit = [_cells(rows, n, n) for rows in split_ends]
         for k in range(n + 1):
             for m in range(n + 1):
                 z = split[k][m]
@@ -904,7 +918,8 @@ def transfer_mismatches(max_n):
 
 class TestTransferBeyondOracle:
     """Every cell up to n = 60, three times the oracle limit, read off one
-    stepped pass per seed: 77,530 cells of z and 77,526 rings."""
+    transfer pass per seed at each length: 77,530 cells of z and 77,526
+    rings."""
 
     def test_every_cell_to_60(self):
         assert transfer_mismatches(60) == []

@@ -30,14 +30,14 @@ from bitpairs.counting import z_reduce_to_m0 as real_reduce
 
 
 def _plus_one_at_5_1_1(*seeds):
-    # the passes of those seeds (from_one) yield end0 with cell [1][1] one too
-    # high at length 5; in a copy, as the pass steps on from the rows it yielded
+    # the passes of those seeds (from_one) to length 5 return end0 with cell
+    # [1][1] one too high, in a copy of the real pass's rows
     def broken(n, k, m, from_one):
-        for length, (end0, end1) in enumerate(_transfer(n, k, m, from_one), start=1):
-            if length == 5 and from_one in seeds:
-                end0 = end0[:]
-                end0[1] += 1 << n  # row a = 1 holds cell b = 1 in its second n-bit slot
-            yield end0, end1
+        end0, end1 = _transfer(n, k, m, from_one)
+        if n == 5 and from_one in seeds:
+            end0 = end0[:]
+            end0[1] += 1 << n  # row a = 1 holds cell b = 1 in its second n-bit slot
+        return end0, end1
 
     return broken
 
@@ -397,21 +397,19 @@ class TestVerifyAll:
 
     @pytest.mark.parametrize("mode", ["linear", "both", "circular"])
     def test_one_pass_per_seed(self, monkeypatch, mode):
-        # verify_all steps each seed's pass once, to max_n, on the full grid:
-        # one record [n, k, m, from_one, grids drawn] per pass stepped; the
-        # circular mode reads no recurrence, so it steps none
-        drawn = []
+        # verify_all runs one pass per seed at each length n, on the full
+        # (n + 1) x (n + 1) grid: one (n, k, m, from_one) record per pass; the
+        # circular mode reads no recurrence, so it runs none
+        calls = []
 
-        def counted(n, k, m, from_one):
-            record = [n, k, m, from_one, 0]
-            drawn.append(record)
-            for grids in _transfer(n, k, m, from_one):
-                record[4] += 1
-                yield grids
+        def counted(*args):
+            calls.append(args)
+            return _transfer(*args)
 
         monkeypatch.setattr(bitpairs.tables, "_transfer", counted)
         assert verify_all(9, mode).success
-        assert drawn == ([] if mode == "circular" else [[9, 9, 9, False, 9], [9, 9, 9, True, 9]])
+        per_seed = [(n, n, n, seed) for n in range(1, 10) for seed in (False, True)]
+        assert calls == ([] if mode == "circular" else per_seed)
 
     def test_fault_injection_circular(self, monkeypatch):
         monkeypatch.setattr(
