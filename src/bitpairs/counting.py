@@ -43,11 +43,15 @@ The transfer pass steps bottom-up to a length n on two grids of the
 query's (k + 1) x (m + 1) cells, one per last bit, so the recurrences'
 memory is bounded, and returns the grids at n: a recurrence reads them at
 its n, and ``verify_all`` runs one pass per seed to each length it checks,
-on the (n + 1) x (n + 1) grid.  A grid is k + 1 ints, one per row, each
+on the (n + 1) x (n + 1) grid.  Past the oracle limit the split pass,
+whose end-bit cells at n are the oracle histogram's, is the reference
+that ``verify_all`` checks the other routes against (with
+:func:`_ring_count` for the rings).  A grid is k + 1 ints, one per row, each
 holding the row's m + 1 cells in n-bit slots: no cell at a length L <= n
 exceeds 2**(L-1), so no slot carries into the next, and one int addition
-or shift steps a whole row.  A pass above ``TRANSFER_GRID_BITS`` = 2**30
-bits a grid is refused with a ValueError before it starts.
+or shift steps a whole row.  A pass whose work, (k + 1)(m + 1)n**2, is
+above ``TRANSFER_WORK`` = 2**36 is refused with a ValueError before it
+starts.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  :func:`decimal_digits` is the one place a count becomes decimal
@@ -349,7 +353,14 @@ def s_circular_oracle(n: int, k: int, m: int) -> int:
     limit, as :func:`z_oracle`.
     """
     _check_oracle_n(n, True)
-    cells = _profile_histogram(n)
+    return _ring_count(_profile_histogram(n), k, m)
+
+
+def _ring_count(cells: dict[tuple[int, int, int], int], k: int, m: int) -> int:
+    """The rings that close into (k, m), from the (a, b, last bit) cells of the
+    strings of their length that start with 0: the four keys of
+    :func:`s_circular_oracle`.  ``verify_all`` reads them off the split
+    pass's end-bit grids past the oracle limit."""
     return sum(cells.get(key, 0) for key in ((k - 1, m, 0), (k, m, 1), (m - 1, k, 0), (m, k, 1)))
 
 
@@ -358,10 +369,11 @@ def s_circular_oracle(n: int, k: int, m: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-# the most bits a transfer pass may hold in one end-bit grid, (k + 1)(m + 1)n:
-# 128 MiB; every query of the tests, the demos and the benchmark needs at most
-# 4.9 Mbit, at (n, k, m) = (500, 120, 80)
-TRANSFER_GRID_BITS = 1 << 30
+# the most work a transfer pass may take, (k + 1)(m + 1)n**2: n - 1 steps on
+# rows of (m + 1)n bits, 2(k + 1) rows a step.  Near the edge a pass took 3-9 s
+# on CPython 3.11, at (131072, 1, 1) and (2600, 120, 80); every query of the
+# tests, the demos, CI and the benchmark needs at most 2**31.2, at (500, 120, 80)
+TRANSFER_WORK = 1 << 36
 
 
 def _transfer(n: int, k: int, m: int, from_one: bool) -> tuple[list[int], list[int]]:
@@ -382,13 +394,16 @@ def _transfer(n: int, k: int, m: int, from_one: bool) -> tuple[list[int], list[i
     a row, and a shift by n moves each cell b to b + 1 (the 1-pair axis of
     the transfer matrix evaluated at 2**n): a step is 2(k + 1) int
     operations on rows of (m + 1)n bits, not 2(k + 1)(m + 1) additions.
-    A pass whose grid would exceed ``TRANSFER_GRID_BITS`` = 2**30 bits is
-    refused with a ValueError, "recurrence grid too large: ...", before it
-    allocates a row.
+    A pass whose work (k + 1)(m + 1)n**2 would exceed ``TRANSFER_WORK`` =
+    2**36 is refused with a ValueError, "recurrence work too large: ...",
+    before it allocates a row.  That bounds its memory too: every caller has
+    k + m < n (past :func:`z_base_case`) or k = m = n (``verify_all``), so a
+    grid's (k + 1)(m + 1)n bits, the work over n, stay within 2**30 for
+    n >= 64 and within 2**18 below.
     """
-    bits = (k + 1) * (m + 1) * n
-    if bits > TRANSFER_GRID_BITS:
-        raise ValueError(f"recurrence grid too large: (k+1)(m+1)n = {bits} bits > 2**30")
+    work = (k + 1) * (m + 1) * n * n
+    if work > TRANSFER_WORK:
+        raise ValueError(f"recurrence work too large: (k+1)(m+1)n**2 = {work} > 2**36")
     row_mask = (1 << n * (m + 1)) - 1
     end0 = [int(a == 0) for a in range(k + 1)]
     end1 = end0 if from_one else [0] * (k + 1)
@@ -445,9 +460,9 @@ def z_recur_split(n: int, k: int, m: int, cache: MemoCache | None = None) -> int
     so :func:`_transfer` counts them by last bit bottom-up from "0".
     A given ``cache`` receives the cells of the final layer, so once warm it
     answers later queries at the same n; shared with the other recurrence, it
-    raises where the two routes disagree.  A pass whose grid would hold more
-    than ``TRANSFER_GRID_BITS`` = 2**30 bits, (k+1)(m+1)n, raises
-    ``ValueError("recurrence grid too large: ...")`` before it allocates one.
+    raises where the two routes disagree.  A pass whose work, (k+1)(m+1)n**2,
+    would exceed ``TRANSFER_WORK`` = 2**36 raises
+    ``ValueError("recurrence work too large: ...")`` before it allocates a row.
     """
     return _layer_cell(n, k, m, cache, False)
 
@@ -460,7 +475,7 @@ def z_recur_firstone(n: int, k: int, m: int, cache: MemoCache | None = None) -> 
     0s contributing f-1 0-pairs, and what remains is a smaller instance with
     the pair roles swapped, on one diagonal of the lower layers, which the
     transfer pass to n sums as it goes (see :func:`_z_layer`).  ``cache``
-    and the grid bound work as for :func:`z_recur_split`.
+    and the work bound act as for :func:`z_recur_split`.
     """
     return _layer_cell(n, k, m, cache, True)
 

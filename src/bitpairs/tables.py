@@ -19,9 +19,11 @@ import time
 from collections import namedtuple
 
 from .counting import (
+    DEFAULT_ORACLE_LIMIT,
+    _cells,
     _check_length,
-    _check_oracle_n,
     _profile_histogram,
+    _ring_count,
     _transfer,
     _z_layer,
     decimal_digits,
@@ -40,6 +42,7 @@ from .counting import (
 Z_TABLE_FORMATS = ("csv", "tsv", "json")
 TRIANGLE_FORMATS = ("csv", "bfile")
 VERIFY_MODES = ("linear", "circular", "both")
+VERIFY_LIMIT = 100  # verify_all's largest max_n: about 4 s in both modes on CPython 3.11
 
 _HEADER = ("n", "k", "m", "count")  # the one table layout, in column order
 _SEPARATORS = {"csv": ",", "tsv": "\t"}
@@ -205,30 +208,37 @@ class VerifyReport(namedtuple("VerifyReport", "max_n mode methods checks mismatc
 
 
 def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
-    """Compare every counting route against the oracles up to max_n.
+    """Compare every counting route against a reference at each length up to max_n.
 
     Covers, per mode, the full (n, k, m) grid with 0 <= k, m <= n for the
-    four fast linear methods against :func:`z_oracle`, the closed form on
-    the m = 0 column, and the circular formula against
-    :func:`s_circular_oracle`; plus, always, the end-bit parity rule.  Every
-    record compares one route with an oracle, or the parity rule with the
-    strings themselves, and each method's records catch some fault that no
-    other method's do (the tests plant one per method).  Each check at a
-    length n is one (k, m, method, got, expected) record in one list, and a
-    mismatch is a record whose got differs from its expected.  Every record
-    counts as one check, except that the parity rule, checked once per
-    (k, m, equal ends) that a length-n string has (the oracle histogram's keys
-    and their complements'), weighs 2**n checks, one per string.  When a
-    linear check runs, the two recurrences at each length n are read off
-    one transfer pass per seed to n on the (n + 1) x (n + 1) grid; the
-    circular mode runs none.  max_n runs from 2 to the oracle limit,
-    ``DEFAULT_ORACLE_LIMIT`` = 20.  The report lists every mismatch sorted
-    by (n, k, m, method); success means none.
+    linear methods, the closed form on the m = 0 column, and the circular
+    formula.  Up to the oracle limit, ``DEFAULT_ORACLE_LIMIT`` = 20, the
+    reference is :func:`z_oracle` and :func:`s_circular_oracle`, and the
+    end-bit parity rule is checked against the strings themselves.  Past
+    it the reference is one split transfer pass per length, the only route
+    besides the oracle that takes no binomial: its end-bit cells at n are
+    the oracle histogram's, so first-one, the reduction, the runs count and
+    the closed form are checked against their sum, and the circular formula
+    against the four cells of the rings (``counting._ring_count``).  There
+    split, being the reference, and the parity rule, which reads the
+    histogram, make no record.  Each check at a length n is one (k, m,
+    method, got, expected) record in one list, and a mismatch is a record
+    whose got differs from its expected.  Every record counts as one check,
+    except that the parity rule, checked once per (k, m, equal ends) that a
+    length-n string has (the oracle histogram's keys and their
+    complements'), weighs 2**n checks, one per string.  The linear checks
+    read the two recurrences off one transfer pass per seed to each n on
+    the (n + 1) x (n + 1) grid; the circular mode runs the split pass past
+    the oracle limit only.  Each method's records catch some fault that no
+    other method's do (the tests plant one per method).  max_n runs from 2
+    to ``VERIFY_LIMIT`` = 100.  The report lists every mismatch sorted by
+    (n, k, m, method); success means none.
     """
     _check_choice("mode", mode, VERIFY_MODES)
     if max_n < 2:
         raise ValueError(f"max_n must be >= 2, got {max_n}")
-    _check_oracle_n(max_n, False)
+    if max_n > VERIFY_LIMIT:
+        raise ValueError(f"verify limit exceeded: max_n={max_n} > {VERIFY_LIMIT}")
 
     start = time.perf_counter()
     mismatches: list[Mismatch] = []
@@ -243,13 +253,18 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
 
     for n in range(1, max_n + 1):
         records = []  # (k, m, method, got, expected), one per check at length n
-        if do_linear:  # one transfer pass per seed to this n, for the linear checks only
-            split = _z_layer(*_transfer(n, n, n, False), False, n, n)
+        oracle = n <= DEFAULT_ORACLE_LIMIT
+        if do_linear or not oracle:
+            # the split pass by its (k, m, last bit) cells, which are the oracle
+            # histogram's: a route up to the oracle limit, the reference past it
+            grids = [_cells(rows, n, n) for rows in _transfer(n, n, n, False)]
+            cells = {(k, m, e): grids[e][k][m] for k, m in _grid(n, "circular") for e in (0, 1)}
+        if do_linear:
             firstone = _z_layer(*_transfer(n, n, n, True), True, n, n)
             for k, m in _grid(n, "circular"):  # 0 <= k, m <= n
-                want = z_oracle(n, k, m)
-                records += [
-                    (k, m, "split", split[k][m], want),
+                split = cells[k, m, 0] + cells[k, m, 1]
+                want = z_oracle(n, k, m) if oracle else split
+                records += [(k, m, "split", split, want)] * oracle + [
                     (k, m, "first-one", firstone[k][m], want),
                     (k, m, "reduce", z_reduce_to_m0(n, k, m), want),
                     (k, m, "auto", z_auto(n, k, m), want),
@@ -258,18 +273,20 @@ def verify_all(max_n: int, mode: str = "both") -> VerifyReport:
                     records.append((k, 0, "closed", z_closed_m0(n, k), want))
         if do_circular and n >= 2:
             for k, m in _grid(n, "circular"):
-                records.append((k, m, "circular", s_circular(n, k, m), s_circular_oracle(n, k, m)))
+                want = s_circular_oracle(n, k, m) if oracle else _ring_count(cells, k, m)
+                records.append((k, m, "circular", s_circular(n, k, m), want))
 
-        # end-bit parity rule, once per (k, m, whether the first and last bits
-        # agree): the histogram keys (k, m, e) of the strings that start with 0
-        # have equal ends when the last bit e is 0, as do their complements,
-        # which swap k and m
-        seen = {(a, b, not e) for k, m, e in _profile_histogram(n) for a, b in ((k, m), (m, k))}
+        # end-bit parity rule, up to the oracle limit, once per (k, m, whether
+        # the first and last bits agree): the histogram keys (k, m, e) of the
+        # strings that start with 0 have equal ends when the last bit e is 0,
+        # as do their complements, which swap k and m
+        histogram = _profile_histogram(n) if oracle else {}
+        seen = {(a, b, not e) for k, m, e in histogram for a, b in ((k, m), (m, k))}
         for k, m, ends in seen:
             predicted = wrap_parity_predicts_equal_ends(n, k, m)
             records.append((k, m, "end-parity", int(ends), int(predicted)))
 
-        checks += len(records) - len(seen) + (1 << n)  # parity weighs 2**n, one per string
+        checks += len(records) - len(seen) + (1 << n) * oracle  # parity weighs 2**n, one per string
         mismatches += [Mismatch(n, *record) for record in records if record[3] != record[4]]
 
     return VerifyReport(

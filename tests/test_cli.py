@@ -177,14 +177,17 @@ class TestCount:
             built.clear()
 
     def test_recurrence_grid_over_budget_refused(self, capsys):
-        # 9001 x 9001 cells of 22000 bits a grid: refused before any row is built
-        refusal = "error: recurrence grid too large: (k+1)(m+1)n = 1782396022000 bits > 2**30\n"
-        for method in ("split", "first-one"):
-            for ring in ((), ("--circular",)):
-                start = time.perf_counter()
-                args = ("count", "--n", "22000", "--k", "9000", "--m", "9000", "--method", method)
-                assert invoke(capsys, *args, *ring) == (2, "", refusal), (method, ring)
-                assert time.perf_counter() - start < 1, (method, ring)
+        # work (k+1)(m+1)n**2 past 2**36, a wide grid or a thin pass that would
+        # take hours: refused before any row is built
+        for n, k, m in ((22000, 9000, 9000), (3000000, 0, 0), (100000000, 1, 1), (300000, 1, 1)):
+            work = (k + 1) * (m + 1) * n * n
+            refusal = f"error: recurrence work too large: (k+1)(m+1)n**2 = {work} > 2**36\n"
+            for method in ("split", "first-one"):
+                for ring in ((), ("--circular",)):
+                    start = time.perf_counter()
+                    args = ("count", "--n", str(n), "--k", str(k), "--m", str(m), "--method", method)
+                    assert invoke(capsys, *args, *ring) == (2, "", refusal), (n, method, ring)
+                    assert time.perf_counter() - start < 1, (n, method, ring)
 
     def test_prime_table_over_bound_refused(self, capsys):
         # z's first binomial, C(5399999999, 2400000000), needs a table past
@@ -530,11 +533,12 @@ class TestOracleLimitPlumbing:
             monkeypatch.setenv("BITPAIRS_ORACLE_LIMIT", value)
             assert [mask_elapsed(invoke(capsys, *argv)) for argv in cases] == unset, value
 
-    def test_verify_error_matches_count(self, capsys):
+    def test_verify_passes_where_count_refuses(self, capsys):
+        # the oracle limit is the oracles' own: verify checks past it
         line = "error: oracle limit exceeded: n=21 > 20\n"
-        verify = invoke(capsys, "verify", "--max-n", "21")
         count = invoke(capsys, "count", "--n", "21", "--k", "2", "--m", "2", "--method", "oracle")
-        assert verify == count == (2, "", line)
+        assert count == (2, "", line)
+        assert invoke(capsys, "verify", "--max-n", "21")[0] == 0
 
 
 class TestEnumerate:
@@ -674,9 +678,8 @@ class TestVerify:
         assert result in invalid_choice("--mode", "spiral", ("linear", "circular", "both"))
 
     def test_over_limit(self, capsys):
-        code, _, err = invoke(capsys, "verify", "--max-n", "25")
-        assert code == 2
-        assert "oracle limit exceeded" in err
+        line = "error: verify limit exceeded: max_n=101 > 100\n"
+        assert invoke(capsys, "verify", "--max-n", "101") == (2, "", line)
 
 
 def declared_script(name):

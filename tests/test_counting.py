@@ -13,6 +13,7 @@ import pytest
 import bitpairs.counting
 from bitpairs import (
     MemoCache,
+    Mismatch,
     PairProfile,
     binomial,
     circular_pair_counts,
@@ -21,6 +22,7 @@ from bitpairs import (
     s_circular_oracle,
     sd_encode,
     terquem_T,
+    verify_all,
     wrap_parity_predicts_equal_ends,
     z_auto,
     z_base_case,
@@ -503,19 +505,19 @@ class TestRecurrences:
                 assert _cells(end1, n, n) == want, n
 
     def test_grid_budget(self, monkeypatch):
-        # one bit a row over TRANSFER_GRID_BITS is refused before the pass
-        # builds a row; a pass of exactly the budget runs, shown on a budget
-        # of 72 bits, the grid of (6, 3, 2)
-        assert bitpairs.counting.TRANSFER_GRID_BITS == 2**30
-        with pytest.raises(ValueError, match=r"^recurrence grid too large: "
-                           r"\(k\+1\)\(m\+1\)n = 1074790400 bits > 2\*\*30$"):
-            _transfer(2**10 + 1, 2**10 - 1, 2**10 - 1, True)
-        monkeypatch.setattr(bitpairs.counting, "TRANSFER_GRID_BITS", 72)
+        # work (k+1)(m+1)n**2 over TRANSFER_WORK is refused before the pass
+        # builds a row, here the first n past 2**17 at k = m = 1; a pass of
+        # exactly the budget runs, shown on a budget of 432, the work of (6, 3, 2)
+        assert bitpairs.counting.TRANSFER_WORK == 2**36
+        with pytest.raises(ValueError, match=r"^recurrence work too large: "
+                           r"\(k\+1\)\(m\+1\)n\*\*2 = 68720525316 > 2\*\*36$"):
+            _transfer(2**17 + 1, 1, 1, True)
+        monkeypatch.setattr(bitpairs.counting, "TRANSFER_WORK", 432)
         for from_one in (False, True):
             layer = _z_layer(*_transfer(6, 3, 2, from_one), from_one, 6, 2)
             assert layer == [[z_oracle(6, a, b) for b in range(3)] for a in range(4)]
-            with pytest.raises(ValueError, match=r"^recurrence grid too large: "
-                               r"\(k\+1\)\(m\+1\)n = 84 bits "):
+            with pytest.raises(ValueError, match=r"^recurrence work too large: "
+                               r"\(k\+1\)\(m\+1\)n\*\*2 = 588 "):
                 _transfer(7, 3, 2, from_one)
 
     @pytest.mark.parametrize(
@@ -883,58 +885,24 @@ class TestCircular:
         assert via_split == s_circular(10, 2, 4) == s_circular_oracle(10, 2, 4)
 
 
-def transfer_mismatches(max_n):
-    """(n, k, m, route, got, want) wherever a route disagrees with the split
-    pass on a cell 0 <= k, m <= n, n = 1..max_n: first-one, z_auto and
-    z_reduce_to_m0 against its z readout, and from n = 2 s_circular against
-    its ring readout, the end-bit cells of the rings that close into (k, m).
-    Routes are looked up on the module, so a monkeypatched one is the one
-    checked."""
-    routes = bitpairs.counting
-    found = []
-    for n in range(1, max_n + 1):
-        split_ends = _transfer(n, n, n, False)
-        split = _z_layer(*split_ends, False, n, n)
-        firstone = _z_layer(*_transfer(n, n, n, True), True, n, n)
-        end_bit = [_cells(rows, n, n) for rows in split_ends]
-        for k in range(n + 1):
-            for m in range(n + 1):
-                z = split[k][m]
-                checks = [
-                    ("first-one", firstone[k][m], z),
-                    ("auto", routes.z_auto(n, k, m), z),
-                    ("reduce", routes.z_reduce_to_m0(n, k, m), z),
-                ]
-                if n >= 2:
-                    # the wrap slot adds a 0-pair to a ring that starts with 0
-                    # exactly when its last bit is 0; the rings that start
-                    # with 1 are the complements, with k and m swapped
-                    keys = ((k - 1, m, 0), (k, m, 1), (m - 1, k, 0), (m, k, 1))
-                    ring = sum(end_bit[last][a][b] for a, b, last in keys if a >= 0)
-                    checks.append(("circular", routes.s_circular(n, k, m), ring))
-                found += [(n, k, m, route, got, want) for route, got, want in checks if got != want]
-    return found
-
-
 class TestTransferBeyondOracle:
-    """Every cell up to n = 60, three times the oracle limit, read off one
-    transfer pass per seed at each length: 77,530 cells of z and 77,526
-    rings."""
+    """verify_all past the oracle limit: every cell up to n = 60, three times
+    the limit, checked against one split transfer pass at each length."""
 
     def test_every_cell_to_60(self):
-        assert transfer_mismatches(60) == []
+        report = verify_all(60)
+        assert report.mismatches == ()
+        assert report.checks == 2412466
 
     def test_reports_a_wrong_z_auto(self, monkeypatch):
-        real = bitpairs.counting.z_auto
-        monkeypatch.setattr(bitpairs.counting, "z_auto",
-                            lambda n, k, m: real(n, k, m) + ((n, k, m) == (23, 7, 9)))
-        z = real(23, 7, 9)
-        assert transfer_mismatches(24) == [(23, 7, 9, "auto", z + 1, z)]
+        monkeypatch.setattr("bitpairs.tables.z_auto",
+                            lambda n, k, m: z_auto(n, k, m) + ((n, k, m) == (23, 7, 9)))
+        z = z_auto(23, 7, 9)
+        assert verify_all(24).mismatches == (Mismatch(23, 7, 9, "auto", z + 1, z),)
 
     def test_reports_a_wrong_s_circular(self, monkeypatch):
-        real = bitpairs.counting.s_circular
-        monkeypatch.setattr(bitpairs.counting, "s_circular",
-                            lambda n, k, m: real(n, k, m) - ((n, k, m) == (24, 10, 4)))
-        s = real(24, 10, 4)
+        monkeypatch.setattr("bitpairs.tables.s_circular",
+                            lambda n, k, m: s_circular(n, k, m) - ((n, k, m) == (24, 10, 4)))
+        s = s_circular(24, 10, 4)
         assert s > 0
-        assert transfer_mismatches(24) == [(24, 10, 4, "circular", s - 1, s)]
+        assert verify_all(24).mismatches == (Mismatch(24, 10, 4, "circular", s - 1, s),)

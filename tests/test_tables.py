@@ -29,14 +29,14 @@ from bitpairs.counting import (
 from bitpairs.counting import z_reduce_to_m0 as real_reduce
 
 
-def _plus_one_at_5_1_1(*seeds):
-    # the passes of those seeds (from_one) to length 5 return end0 with cell
-    # [1][1] one too high, in a copy of the real pass's rows
+def _plus_one_in_pass(cell, *seeds):
+    # the passes of those seeds (from_one) to length n return end0 with cell
+    # [a][b] one too high, in a copy of the real pass's rows
     def broken(n, k, m, from_one):
         end0, end1 = _transfer(n, k, m, from_one)
-        if n == 5 and from_one in seeds:
+        if n == cell[0] and from_one in seeds:
             end0 = end0[:]
-            end0[1] += 1 << n  # row a = 1 holds cell b = 1 in its second n-bit slot
+            end0[cell[1]] += 1 << n * cell[2]  # row a holds cell b in its n-bit slot b
         return end0, end1
 
     return broken
@@ -56,17 +56,17 @@ def _plant(monkeypatch, name, broken):
         monkeypatch.setitem(s_circular.__kwdefaults__, "z", broken)
 
 
-def _mismatches_with(monkeypatch, name, broken):
-    # verify's mismatches on the full grid to n = 8 with the fault planted
+def _mismatches_with(monkeypatch, name, broken, max_n=8):
+    # verify's mismatches on the full grid to max_n with the fault planted
     _plant(monkeypatch, name, broken)
-    return verify_all(8, "both").mismatches
+    return verify_all(max_n, "both").mismatches
 
 
 # per verify method, in report order: a fault that only that method's records
 # catch, as the (n, k, m) cell it shows at, the name to patch and its broken version
 _WITNESSES = {
-    "split": ((5, 1, 1), "_transfer", _plus_one_at_5_1_1(False)),
-    "first-one": ((5, 1, 1), "_transfer", _plus_one_at_5_1_1(True)),
+    "split": ((5, 1, 1), "_transfer", _plus_one_in_pass((5, 1, 1), False)),
+    "first-one": ((5, 1, 1), "_transfer", _plus_one_in_pass((5, 1, 1), True)),
     "reduce": ((5, 1, 1), "z_reduce_to_m0", _plus_one_at((5, 1, 1), real_reduce)),
     # n + k + m is odd, so s_circular answers 0 there without calling z
     "auto": ((5, 0, 2), "z_auto", _plus_one_at((5, 0, 2), z_auto)),
@@ -80,6 +80,15 @@ _WITNESSES = {
     ),
 }
 _RING_AND_PARITY = ("circular", "end-parity")
+
+# past the oracle limit, where split is the reference and end parity is not
+# checked, a fault at one cell with 20 < n <= 24 for each remaining method
+# but auto and circular, which test_counting's TestTransferBeyondOracle plants
+_PAST_LIMIT = {
+    "first-one": ((22, 1, 1), "_transfer", _plus_one_in_pass((22, 1, 1), True)),
+    "reduce": ((22, 5, 3), "z_reduce_to_m0", _plus_one_at((22, 5, 3), real_reduce)),
+    "closed": ((21, 20, 0), "z_closed_m0", _plus_one_at((21, 20), z_closed_m0)),  # k = n - 1
+}
 
 
 class TestZTable:
@@ -314,15 +323,16 @@ class TestVerifyAll:
         )
 
     @pytest.mark.parametrize("mode", ["linear", "circular", "both"])
-    @pytest.mark.parametrize("max_n", [2, 5, 9, 14])
+    @pytest.mark.parametrize("max_n", [2, 5, 9, 14, 22])
     def test_check_count(self, max_n, mode):
         # per n: the (n+1)^2 grid for the four linear routes plus the n+1
         # cells of the closed form's column, the ring's (n+1)^2 grid from
-        # n = 2, and 2^n strings for end parity
+        # n = 2, and 2^n strings for end parity; past the oracle limit, n = 20,
+        # split (the reference there) and end parity make no record
         lengths = range(1, max_n + 1)
-        linear = sum(4 * (n + 1) ** 2 + (n + 1) for n in lengths)
+        linear = sum((4 - (n > 20)) * (n + 1) ** 2 + (n + 1) for n in lengths)
         circular = sum((n + 1) ** 2 for n in lengths if n >= 2)
-        always = sum(2**n for n in lengths)
+        always = sum(2**n for n in lengths if n <= 20)
         want = always + {"linear": linear, "circular": circular, "both": linear + circular}[mode]
         assert verify_all(max_n, mode).checks == want
         if max_n == 14:
@@ -333,19 +343,24 @@ class TestVerifyAll:
         assert report.success
         assert "circular" not in report.methods
 
-    def test_domain_errors(self):
+    def test_domain_errors(self, monkeypatch):
         with pytest.raises(ValueError, match="max_n must be >= 2"):
             verify_all(1)
-        with pytest.raises(ValueError, match="^oracle limit exceeded: n=25 > 20$"):
-            verify_all(25)
+        with pytest.raises(ValueError, match="^verify limit exceeded: max_n=101 > 100$"):
+            verify_all(101)
         with pytest.raises(ValueError, match="unsupported mode"):
             verify_all(6, "sideways")
+        # max_n = VERIFY_LIMIT runs and one more is refused before any pass,
+        # shown on a limit of 5
+        monkeypatch.setattr(bitpairs.tables, "VERIFY_LIMIT", 5)
+        assert verify_all(5).success
+        monkeypatch.setattr(bitpairs.tables, "_transfer", None)  # a pass would raise TypeError
+        with pytest.raises(ValueError, match="^verify limit exceeded: max_n=6 > 5$"):
+            verify_all(6)
 
     def test_fault_injection_linear(self, monkeypatch):
-        def broken(n, k, m):
-            if (n, k, m) == (5, 1, 1):
-                return 999
-            return real_reduce(n, k, m)
+        def broken(*args):
+            return 999 if args == (5, 1, 1) else real_reduce(*args)
 
         monkeypatch.setattr(bitpairs.tables, "z_reduce_to_m0", broken)
         report = verify_all(6, "linear")
@@ -371,11 +386,16 @@ class TestVerifyAll:
     def test_every_method_has_a_witness(self):
         assert tuple(_WITNESSES) == verify_all(2, "both").methods
 
+    @pytest.mark.parametrize("method", _PAST_LIMIT)
+    def test_fault_injection_past_the_oracle_limit(self, monkeypatch, method):
+        cell, name, broken = _PAST_LIMIT[method]
+        assert [w[:4] for w in _mismatches_with(monkeypatch, name, broken, 24)] == [(*cell, method)]
+
     @pytest.mark.parametrize(
         "name, broken, caught",
         [
             # the step both recurrences share: both catch it, and nothing else
-            ("_transfer", _plus_one_at_5_1_1(False, True), {"split", "first-one"}),
+            ("_transfer", _plus_one_in_pass((5, 1, 1), False, True), {"split", "first-one"}),
             ("binomial", _plus_one_at((4, 2), binomial), {"auto", "circular", "closed", "reduce"}),
             # off the boundary the reduction answers the m = 0 column with the closed form
             ("z_closed_m0", _plus_one_at((5, 1), z_closed_m0), {"closed", "reduce"}),
@@ -399,7 +419,8 @@ class TestVerifyAll:
     def test_one_pass_per_seed(self, monkeypatch, mode):
         # verify_all runs one pass per seed at each length n, on the full
         # (n + 1) x (n + 1) grid: one (n, k, m, from_one) record per pass; the
-        # circular mode reads no recurrence, so it runs none
+        # circular mode reads no recurrence, so it runs only the reference
+        # split pass past the oracle limit
         calls = []
 
         def counted(*args):
@@ -407,20 +428,16 @@ class TestVerifyAll:
             return _transfer(*args)
 
         monkeypatch.setattr(bitpairs.tables, "_transfer", counted)
-        assert verify_all(9, mode).success
-        per_seed = [(n, n, n, seed) for n in range(1, 10) for seed in (False, True)]
-        assert calls == ([] if mode == "circular" else per_seed)
+        assert verify_all(22, mode).success
+        per_seed = [(n, n, n, seed) for n in range(1, 23) for seed in (False, True)]
+        assert calls == ([(21, 21, 21, False), (22, 22, 22, False)] if mode == "circular" else per_seed)
 
     def test_fault_injection_circular(self, monkeypatch):
-        monkeypatch.setattr(
-            bitpairs.tables, "s_circular", lambda n, k, m: 0
-        )
+        monkeypatch.setattr(bitpairs.tables, "s_circular", lambda n, k, m: 0)
         report = verify_all(4, "circular")
         assert not report.success
         assert all(w.method == "circular" for w in report.mismatches)
-        assert list(report.mismatches) == sorted(
-            report.mismatches, key=lambda w: (w.n, w.k, w.m, w.method)
-        )
+        assert list(report.mismatches) == sorted(report.mismatches, key=lambda w: w[:4])
 
     def test_fault_injection_end_parity(self, monkeypatch):
         # wrong exactly when k == 1: one mismatch per such linear profile
