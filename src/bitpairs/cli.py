@@ -201,7 +201,7 @@ _COMMANDS = {
         "--format": ("format", "TRIANGLE_FORMATS", "csv", None),
         "--out": _OUT,
     }, _cmd_triangle),
-    "verify": ("cross-check all methods against the oracles", {
+    "verify": ("cross-check every method: the oracles up to n = 20, the split pass beyond", {
         "--max-n": ("max_n", _nonneg, _REQUIRED, None),
         "--mode": ("mode", "VERIFY_MODES", "both", None),
     }, _cmd_verify),

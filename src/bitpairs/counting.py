@@ -55,19 +55,23 @@ starts.
 
 All counts are exact Python ints, so no n within reach of the fast methods
 overflows.  :func:`decimal_digits` is the one place a count becomes decimal
-text, for every command and rendering: ``str()`` while the interpreter's
-int -> str digit limit allows it, and beyond that a divide-and-conquer
-conversion in the C ``decimal`` module, imported on that path only, so a
-process that prints only small counts never loads it.  :func:`decimal_int`
-is its inverse, with which tables are read back.
+text, for every command and rendering, in three tiers.  From 4000 bits up to
+4300 digits it splits the value by ``divmod`` at four powers of ten fixed at
+import, down to leaves of at most 512 digits that ``str()`` converts.  Any
+other value goes to ``str()``, and where the interpreter's int -> str digit
+limit refuses it, to a divide-and-conquer conversion in the C ``decimal``
+module, imported on that path only, so a process that prints only small
+counts never loads it.  :func:`decimal_int` is its inverse, with which
+tables are read back.
 
 Every function is a pure function of its arguments; the recurrences'
 optional caches are explicit write-once maps, so concurrent callers can
 either share a cache or use one per thread with identical results.  Two
 hidden caches never change a result, and both are
 ``functools.lru_cache``s of pure functions: the oracles' histogram per n,
-n within the oracle limit, and the kernel's table of the primes up to each
-power of two it has needed, at most ``PRIME_TABLE_LIMIT`` = 2**25.
+n within the oracle limit, and the kernel's table per power of two it has
+needed, at most ``PRIME_TABLE_LIMIT`` = 2**25: the primes up to it, and the
+products of their aligned blocks of 32, which live and go with it.
 ``cache_clear()`` empties either.
 """
 
@@ -131,13 +135,14 @@ def binomial(a: int, b: int) -> int:
 
 # math.comb ends in big-int divisions, which CPython does in quadratic time;
 # the kernel only multiplies, but pays a Python step per prime up to b and a
-# bisection per slice up to a / b.  Timed on CPython 3.11, the two break even
-# near b * b = 140 * a at a = 1000, 90 * a at a = 2000, 40 * a at a = 10**4
-# and 10-20 * a at a = 10**5 to 3 * 10**5.  At this cut-off, which sends
-# nothing below a = 1000 to the kernel (b <= a / 2), the kernel is 1.5x
-# faster at a = 1000, 4x at 10**4 and 5-6x at 10**5 to 3 * 10**5; a cut-off
-# of 150-200 would hand it binomials at a = 600-800 where math.comb is as
-# fast or faster.  3.12 breaks even at about the same points, 3.10 (a slower
+# bisection per slice up to a / b.  Timed on CPython 3.11 with the block
+# products, the two break even near b * b = 80-100 * a at a = 1000, 60-80 * a
+# at a = 2000 and 30 * a at a = 10**4, as the kernel without them did in the
+# same runs: near there b is small and the slices short.  Earlier timings put
+# it at 10-20 * a at a = 10**5 to 3 * 10**5.  At this cut-off, which sends
+# nothing below a = 1000 to the kernel (b <= a / 2), the kernel is 2x faster
+# at a = 1000, 3x at 2000, 5x at 10**4 and 5-6x at 10**5 to 3 * 10**5.
+# Earlier timings: 3.12 breaks even at about the same points, 3.10 (a slower
 # math.comb) below b * b = 40 * a.  math.comb's side is bounded at b = 2**17,
 # where it took about 3 s at a = 10**10 on 3.11 (0.8-0.9 s at b = 2**16); the cut-off sends
 # such a b to math.comb only above a = 2**34 / 250, about 6.8e7, where the
@@ -145,16 +150,23 @@ def binomial(a: int, b: int) -> int:
 _COMB_CUTOFF = 250
 
 # the largest a of a C(a, b) the kernel answers, and so its largest prime
-# table, the primes up to 2**25: a 16 MiB sieve and 2.06M primes in 16.5 MB.
+# table, the primes up to 2**25: a 16 MiB sieve, 2.06M primes in 16.5 MB and
+# their 64490 block products in 8.7 MB.
 # At (n, 0.24n, 0.16n) that admits n up to 6.2e7, a count that took 77 s
 # and peaked at 108 MB RSS on CPython 3.11; the largest at 2**24, n = 3.1e7,
 # took 22 s and 71 MB, and the n = 1.6e7 headline needs 2**24
 PRIME_TABLE_LIMIT = 1 << 25
 
 
+# the primes of a table go into a product in aligned blocks of this many,
+# each multiplied once, when the table is built
+_BLOCK = 32
+
+
 @lru_cache(maxsize=None)
-def _primes_to(limit: int) -> "array":
-    """Every prime <= limit, ascending, from a throwaway sieve; callers share it."""
+def _prime_table(limit: int) -> tuple["array", list[int]]:
+    """Every prime <= limit, ascending, and the product of each whole block
+    primes[32i : 32i + 32], from a throwaway sieve; callers share both."""
     from array import array  # its only use: a count that takes no kernel binomial never loads it
 
     sieve = bytearray(b"\x01") * ((limit + 1) // 2)  # sieve[i] for the odd 2i + 1
@@ -162,7 +174,9 @@ def _primes_to(limit: int) -> "array":
     for p in range(3, math.isqrt(limit) + 1, 2):
         if sieve[p // 2]:
             sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, len(sieve), p)))
-    return array("L", [2] * (limit > 1)) + array("L", compress(range(1, limit + 1, 2), sieve))
+    primes = array("L", [2] * (limit > 1)) + array("L", compress(range(1, limit + 1, 2), sieve))
+    whole = range(0, len(primes) - _BLOCK + 1, _BLOCK)
+    return primes, [math.prod(primes[i : i + _BLOCK]) for i in whole]
 
 
 def _product(factors: list[int]) -> int:
@@ -184,14 +198,16 @@ def _prime_power_binomial(a: int, b: int) -> int:
     the table's primes in (sqrt(a), b].  A prime p > max(b, sqrt(a)) has
     floor(a/p) = j for p in (a/(j+1), a/j], and its term is 1 exactly when
     p > r/j: those primes fill the slices (r/j, a/j], j >= 1, so each slice
-    is a range of the prime table, found by bisection and copied without a
-    test per prime (j = 1 gives every prime in (r, a]).
+    is a range of the prime table, found by bisection and taken without a
+    test per prime (j = 1 gives every prime in (r, a]): the table's cached
+    products of the aligned 32-prime blocks inside the range, and one
+    product for each partial block at its ends.
     """
     b = min(b, a - b)
     r = a - b
     if a > PRIME_TABLE_LIMIT:  # its table would hold the primes past 2**25
         raise ValueError(f"binomial too large for the prime table: C({a}, {b}), a > 2**25")
-    primes = _primes_to(1 << (a - 1).bit_length())  # one table per power of two
+    primes, blocks = _prime_table(1 << (a - 1).bit_length())  # one table per power of two
     root = math.isqrt(a)
     above = max(b, root)
     small = bisect_right(primes, root)
@@ -205,19 +221,63 @@ def _prime_power_binomial(a: int, b: int) -> int:
         factors.append(p**e)
     factors += [p for p in primes[small : bisect_right(primes, b)] if a % p < b % p]
     for j in range(1, a // (above + 1) + 1):
-        factors += primes[bisect_right(primes, max(r // j, above)) : bisect_right(primes, a // j)]
+        lo = bisect_right(primes, max(r // j, above))
+        hi = bisect_right(primes, a // j)
+        first, last = -(-lo // _BLOCK), hi // _BLOCK  # its whole blocks; none if first >= last
+        cut = min(first * _BLOCK, hi)
+        factors += blocks[first:last]
+        factors += math.prod(primes[lo:cut]), math.prod(primes[max(last * _BLOCK, cut) : hi])
     return _product(factors)
+
+
+# the powers 10**512, 10**1024, 10**2048 and 10**4096, built once at import,
+# in about 0.04 ms: decimal_digits splits a value of 4000 bits up to 4300
+# digits at them, and no other power is ever made
+_TEN_POWERS = [10 ** (512 << i) for i in range(4)]
+
+# the band of bit lengths that decimal_digits splits at _TEN_POWERS: below
+# 4000 bits str() is as fast, and every value under 2**14284 has at most 4300
+# digits, the default int -> str limit
+_SPLIT_BITS = range(4000, int(4300 * math.log2(10)) + 1)
+
+
+def _split_digits(value: int) -> str:
+    """The decimal text of 0 <= value < 10**8192: divide and conquer at _TEN_POWERS.
+
+    Each level splits the unpadded head, if it reaches the power, and every
+    later piece in two; each leaf is below 10**512, so its ``str`` stays
+    under any int -> str limit (640 digits at least), and every leaf but the
+    head is zero-padded to 512 digits.
+    """
+    head, pieces = value, []
+    for power in reversed(_TEN_POWERS):
+        pieces = [part for piece in pieces for part in divmod(piece, power)]
+        if head >= power:
+            head, low = divmod(head, power)
+            pieces.insert(0, low)
+    return str(head) + "".join([str(piece).zfill(512) for piece in pieces])
 
 
 def decimal_digits(value: int) -> str:
     """``str(value)`` for an exact int of any size: the decimal text of every printed count.
 
-    When ``str`` refuses a value for having more digits than the
-    interpreter's int -> str limit allows (4300 by default), the value is
-    split at bit s into hi * 2**s + lo, both halves are converted alike down
-    to leaves of at most 14000 bits, and the parts are recombined in the C
-    ``decimal`` module (``_decimal``, libmpdec), whose big products use a
-    number-theoretic transform and which no digit limit applies to.
+    Three tiers, by bit length.  From 4000 bits up to 4300 digits, the
+    default int -> str limit, :func:`_split_digits` splits the value by
+    ``divmod`` at the fixed powers 10**512, 10**1024, 10**2048 and 10**4096
+    down to leaves of at most 512 digits, converts each leaf with ``str``
+    and joins them zero-padded (Brent & Zimmermann, *Modern Computer
+    Arithmetic*, §1.7).  CPython's int -> str is quadratic and its
+    divisions are faster per digit, so this takes about a fifth off at
+    8000 to 14000 bits; below 4000 bits the two are even.  No leaf reaches
+    the lowest limit the interpreter accepts, 640 digits, so this band is
+    converted whatever the limit.
+
+    Every other value goes to ``str``.  When ``str`` refuses one for having
+    more digits than the interpreter's int -> str limit allows, the value
+    is split at bit s into hi * 2**s + lo, both halves are converted alike
+    down to leaves of at most 14000 bits, and the parts are recombined in
+    the C ``decimal`` module (``_decimal``, libmpdec), whose big products
+    use a number-theoretic transform and which no digit limit applies to.
     CPython 3.12's ``Lib/_pylong.py`` converts by the same idea.  The
     context holds any such int exactly and traps Rounded, which every
     Inexact also signals, so a lost digit raises.  ``_decimal`` is imported
@@ -225,6 +285,8 @@ def decimal_digits(value: int) -> str:
     ``str``'s own ValueError: pure-Python decimal arithmetic at this
     precision would not finish.  No interpreter setting is read or changed.
     """
+    if value.bit_length() in _SPLIT_BITS:
+        return "-" * (value < 0) + _split_digits(abs(value))
     try:
         return str(value)
     except ValueError as refused:  # more digits than the int -> str limit allows

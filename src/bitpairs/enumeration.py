@@ -151,16 +151,23 @@ def from_terquem(t: Sequence[int], n: int) -> str:
     """The string in Z(n, len(t), 0) whose 0-pair slots are exactly t.
 
     Inverse of :func:`to_terquem`: the result starts with 0 and each later
-    bit repeats its predecessor at a listed slot and flips otherwise.
+    bit repeats its predecessor at a listed slot and flips otherwise.  So
+    bit i (0-based) is (i + j) mod 2, j the number of listed slots up to i:
+    the string alternates from 0, and from each odd-numbered listed slot
+    to the next one it alternates in the other phase.  It is built in one
+    bytearray, copied run by run from a pattern of both phases, so it
+    holds about 2 bytes per bit at most.
     """
     _check_length(n, circular=False)
     _validate_terquem(t, n - 1)
-    slots = set(t)
-    bits = ["0"]
-    for i in range(1, n):
-        prev = bits[-1]
-        bits.append(prev if i in slots else "1" if prev == "0" else "0")
-    return "".join(bits)
+    phases = memoryview(b"01" * (n // 2 + 1))  # phases[i + j % 2] is bit i
+    bits = bytearray(phases[:n])
+    slots = iter(t)
+    for start in slots:  # slots 1, 3, 5, ... of t each start a run in the other phase
+        stop = next(slots, n)
+        bits[start:stop] = phases[start + 1 : stop + 1]
+    phases.release()
+    return bits.decode()
 
 
 def enumerate_terquem(universe_bound: int, k: int) -> list[tuple[int, ...]]:

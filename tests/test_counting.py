@@ -5,6 +5,7 @@ import random
 import sys
 import threading
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter
 from itertools import count, zip_longest
 
@@ -37,8 +38,9 @@ from bitpairs.counting import (
     PRIME_TABLE_LIMIT,
     _cells,
     _prime_power_binomial,
-    _primes_to,
+    _prime_table,
     _profile_histogram,
+    _split_digits,
     _transfer,
     _z_layer,
     decimal_digits,
@@ -153,21 +155,22 @@ class TestPrimePowerKernel:
                 assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
 
     def test_any_table_growth_order(self):
-        _primes_to.cache_clear()
+        _prime_table.cache_clear()
         # one table per power of two touched: 8192, 512, 16384 (twice), 65536
         for a in (5000, 300, 9001, 9002, 40000):
             for b in (1, a // 3, a // 2):
                 assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
-        assert _primes_to.cache_info().currsize == 4
-        primes = _primes_to(2**16)
+        assert _prime_table.cache_info().currsize == 4
+        primes, blocks = _prime_table(2**16)
         assert list(primes) == sorted(primes)
+        assert blocks == [math.prod(primes[i : i + 32]) for i in range(0, len(primes) // 32 * 32, 32)]
         assert primes[-1] <= 2**16
         assert [p for p in primes if p < 1000] == [
             p for p in range(2, 1000) if all(p % d for d in range(2, math.isqrt(p) + 1))
         ]
 
     def test_threads_share_the_table(self, fast_switching):
-        _primes_to.cache_clear()
+        _prime_table.cache_clear()
         tops = [400 * i + 401 for i in range(24)]
         want = {a: math.comb(a, a // 3) for a in tops}
         wrong = []
@@ -184,7 +187,7 @@ class TestPrimePowerKernel:
             t.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert wrong == []
-        assert _primes_to.cache_info().currsize == 6  # 2**9 to 2**14, once each
+        assert _prime_table.cache_info().currsize == 6  # 2**9 to 2**14, once each
 
     def test_slice_ends_on_a_prime(self):
         # every bisected end -- sqrt(a), b, r / j and a / j -- lands on a prime
@@ -200,11 +203,34 @@ class TestPrimePowerKernel:
                 for b in sorted(b for b in bs if 0 <= b <= a):
                     assert _prime_power_binomial(a, b) == math.comb(a, b), (a, b)
 
+    def test_slices_on_block_edges(self):
+        # the j = 1 slice, the primes in (r, a], is the table range [lo, hi):
+        # here lo and hi land on an edge of the 32-prime blocks, one prime
+        # either side of one, or inside one block, on every table from 2**10
+        # to 2**17; r and a are the prime below the edge or one under the next
+        rng = random.Random(20261022)
+        for t in range(10, 18):
+            primes, _ = _prime_table(2**t)
+            # the block edges with a prime of the table's top half either side
+            edges = [e for e in range(32, len(primes), 32) if primes[e - 2] > 2 ** (t - 1)]
+            for top in rng.sample(edges[1:], min(3, len(edges) - 1)):  # 2**10 has two edges
+                bottom = rng.choice([e for e in edges if top - 96 <= e < top])
+                ranges = [(lo, hi) for lo in (bottom - 1, bottom, bottom + 1) for hi in (top - 1, top, top + 1)]
+                ranges.append((top + 3, min(top + 29, len(primes))))  # inside one block
+                for lo, hi in ranges:
+                    r = rng.choice((primes[lo - 1], primes[lo] - 1))
+                    a = rng.choice((primes[hi - 1], primes[hi] - 1)) if hi < len(primes) else primes[-1]
+                    assert (bisect_right(primes, r), bisect_right(primes, a)) == (lo, hi)
+                    assert 2 ** (t - 1) < a <= 2**t and 2 * r > a
+                    assert _prime_power_binomial(a, a - r) == math.comb(a, a - r), (a, a - r)
+
     def test_table_bound_refuses_before_the_sieve(self, monkeypatch):
         # a C(a, b) whose table would pass PRIME_TABLE_LIMIT is refused with
-        # one line, and no table is built; math.comb still answers any a
+        # one line, and no table is built, nor its block products, which
+        # live in the table's cache entry; math.comb still answers any a
         assert bitpairs.counting.PRIME_TABLE_LIMIT == 2**25
-        _primes_to.cache_clear()
+        _prime_table(2**10)
+        _prime_table.cache_clear()
         with pytest.raises(ValueError) as refused:
             binomial(2**25 + 1, 2**24)
         assert str(refused.value) == (
@@ -212,29 +238,31 @@ class TestPrimePowerKernel:
         )
         with pytest.raises(ValueError, match=r"^binomial too large for the prime table: C\(5"):
             z_auto(10**10, 24 * 10**8, 16 * 10**8)
-        assert _primes_to.cache_info().currsize == 0
+        assert _prime_table.cache_info().currsize == 0
         assert binomial(10**12, 3) == math.comb(10**12, 3)
-        assert _primes_to.cache_info().currsize == 0
+        assert _prime_table.cache_info().currsize == 0
         # a = 2**25 itself still asks for its table (stubbed: no sieve runs)
         def asked(limit):
             raise LookupError(limit)
 
-        monkeypatch.setattr(bitpairs.counting, "_primes_to", asked)
+        monkeypatch.setattr(bitpairs.counting, "_prime_table", asked)
         with pytest.raises(LookupError, match=f"^{2**25}$"):
             binomial(2**25, 2**24)
 
     def test_math_comb_leaves_the_table_alone(self):
-        _primes_to.cache_clear()
+        _prime_table.cache_clear()
         assert binomial(10**9, 3) == math.comb(10**9, 3)
         assert binomial(10**6, 15000) == math.comb(10**6, 15000)
-        assert _primes_to.cache_info().currsize == 0
+        assert _prime_table.cache_info().currsize == 0
         a = 10**6
         assert binomial(a, 3 * 10**5) > 0  # the kernel's values are pinned above
-        assert _primes_to.cache_info().currsize == 1
-        primes = _primes_to(2**20)  # that call's table: 2**19 < a <= 2**20
-        assert _primes_to.cache_info().currsize == 1
+        assert _prime_table.cache_info().currsize == 1
+        primes, blocks = _prime_table(2**20)  # that call's table: 2**19 < a <= 2**20
+        assert _prime_table.cache_info().currsize == 1
         # under one byte per integer up to a, what a bytearray sieve would keep
         assert sys.getsizeof(primes) < a + 1
+        # and the block products under the primes' own bytes
+        assert sys.getsizeof(blocks) + sum(map(sys.getsizeof, blocks)) < sys.getsizeof(primes)
 
     def test_routing(self, monkeypatch):
         a = 4000
@@ -273,9 +301,10 @@ class TestPrimePowerKernel:
 
 
 class TestDecimalDigits:
-    """decimal_digits(v) == str(v) on both paths: str() below the limit, and
-    the conversion in the decimal module, whose leaves hold at most 14000 bits,
-    above it."""
+    """decimal_digits(v) == str(v) on all three tiers: the split at the fixed
+    powers of ten from 4000 bits up to 4300 digits, str() elsewhere below the
+    limit, and the conversion in the decimal module, whose leaves hold at most
+    14000 bits, above it."""
 
     def test_edges(self, lowest_digit_limit, unlimited_str):
         # the 640-digit limit, then the leaf size and its doubles, each
@@ -316,6 +345,40 @@ class TestDecimalDigits:
         lengths = [int(2 ** rng.uniform(11, 18)) for _ in range(8)] + [600000]
         for v in (rng.getrandbits(bits) | 1 << (bits - 1) for bits in lengths):
             assert decimal_digits(v) == unlimited_str(v), v.bit_length()
+
+
+    def test_split_powers_and_band_edges(self, lowest_digit_limit, unlimited_str, monkeypatch):
+        # under the 640-digit limit and without _decimal, only the split can
+        # convert a value of the band: str() and the decimal module would refuse
+        monkeypatch.setitem(sys.modules, "_decimal", None)
+        powers = bitpairs.counting._TEN_POWERS
+        assert powers == [10**512, 10**1024, 10**2048, 10**4096]
+        # each power and its neighbours; + 7 gives every lower piece leading zeros
+        for v in (p + d for p in powers for d in (-1, 0, 1, 7)):
+            assert _split_digits(v) == unlimited_str(v), v.bit_length()
+            if 4000 <= v.bit_length():
+                assert decimal_digits(v) == decimal_digits(-v)[1:] == unlimited_str(v)
+        # one bit either side of both edges: 3999 | 4000 and 14284 | 14285
+        rng = random.Random(20261022)
+        for bits in (4000, 4001, 14283, 14284):
+            for v in (1 << (bits - 1), (1 << bits) - 1, rng.getrandbits(bits) | 1 << (bits - 1)):
+                assert decimal_digits(v) == unlimited_str(v), bits
+                assert decimal_digits(-v) == unlimited_str(-v), bits  # the sign goes first
+        for v in (1 << 3998, (1 << 3999) - 1, 1 << 14284, (1 << 14285) - 1):  # outside the band
+            with pytest.raises(ValueError, match="Exceeds the limit"):
+                decimal_digits(v)
+
+    def test_split_powers_are_fixed(self, unlimited_str):
+        # a thousand sizes across the band add no power: the set is built at import
+        powers = bitpairs.counting._TEN_POWERS
+        before = list(powers)
+        rng = random.Random(20261023)
+        for i, bits in enumerate(rng.sample(range(4000, 14285), 1000)):
+            v = rng.getrandbits(bits) | 1 << (bits - 1)
+            text = decimal_digits(v)
+            if i % 50 == 0:
+                assert text == unlimited_str(v), bits
+        assert bitpairs.counting._TEN_POWERS is powers and powers == before
 
 
 class TestPairCounts:

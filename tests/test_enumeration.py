@@ -1,5 +1,7 @@
 """Tests for explicit enumeration and the Terquem correspondence."""
 
+import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -172,6 +174,27 @@ class TestFromTerquem:
         t, n = case
         b = from_terquem(t, n)
         assert len(b) == n
+        assert to_terquem(b) == t
+
+    def test_memory_at_a_million_bits(self):
+        # a seeded sequence of odd steps (entry i has the parity of i) that
+        # starts with 40 adjacent slots and runs to the last one, n - 1:
+        # the string, and the one bytearray it is built in, take about 2
+        # bytes a bit, where a list of one-character strings took about 9
+        n = 10**6
+        rng = random.Random(20261022)
+        t = list(range(1, 41))
+        while t[-1] < n - 1:
+            t.append(min(t[-1] + rng.randrange(1, 1999, 2), n - 1))
+        t = tuple(t)
+        tracemalloc.start()
+        try:
+            b = from_terquem(t, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1 * n
+        assert len(b) == n and b.startswith("0" * 41)
         assert to_terquem(b) == t
 
 
